@@ -17,7 +17,10 @@
 package localasm
 
 import (
-	"sort"
+	"bytes"
+	"cmp"
+	"fmt"
+	"slices"
 
 	"mhmgo/internal/aligner"
 	"mhmgo/internal/dbg"
@@ -33,7 +36,8 @@ type Options struct {
 	// ShiftStep is how much the mer size is shifted up or down (L in the
 	// paper) when a fork or dead end is hit.
 	ShiftStep int
-	// MinMer and MaxMer bound the dynamic mer size.
+	// MinMer and MaxMer bound the dynamic mer size. MaxMer may be at most
+	// 96 bases, which covers DefaultOptions for every k up to seq.MaxK.
 	MinMer, MaxMer int
 	// MaxExtension bounds how many bases a contig end may be extended.
 	MaxExtension int
@@ -58,6 +62,33 @@ type Options struct {
 	WorkStealing bool
 	// BlockSize is the number of contigs claimed per steal.
 	BlockSize int
+}
+
+// withDefaults fills in the options Run needs that are unset or out of
+// range.
+func (opts Options) withDefaults() Options {
+	if opts.K <= 0 {
+		opts.K = 31
+	}
+	if opts.ShiftStep <= 0 {
+		opts.ShiftStep = 4
+	}
+	if opts.MinMer <= 4 {
+		opts.MinMer = 5
+	}
+	if opts.MaxMer <= opts.MinMer {
+		opts.MaxMer = opts.MinMer + 8
+	}
+	if opts.MaxExtension <= 0 {
+		opts.MaxExtension = 300
+	}
+	if opts.MinSupport <= 0 {
+		opts.MinSupport = 2
+	}
+	if opts.BlockSize <= 0 {
+		opts.BlockSize = 4
+	}
+	return opts
 }
 
 // DefaultOptions returns the local assembly defaults for mer size k.
@@ -111,27 +142,8 @@ func (e extRecord) WireSize() int { return 8 + len(e.Seq) }
 // Reads must be distributed in whole pairs (use pgas.PairBlockRange) so that
 // a read's mate is available on the same rank for recruitment.
 func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alignments []aligner.Alignment, opts Options) Result {
-	if opts.K <= 0 {
-		opts.K = 31
-	}
-	if opts.ShiftStep <= 0 {
-		opts.ShiftStep = 4
-	}
-	if opts.MinMer <= 4 {
-		opts.MinMer = 5
-	}
-	if opts.MaxMer <= opts.MinMer {
-		opts.MaxMer = opts.MinMer + 8
-	}
-	if opts.MaxExtension <= 0 {
-		opts.MaxExtension = 300
-	}
-	if opts.MinSupport <= 0 {
-		opts.MinSupport = 2
-	}
-	if opts.BlockSize <= 0 {
-		opts.BlockSize = 4
-	}
+	opts = opts.withDefaults()
+	ext := NewExtender(opts)
 	creader := cs.NewReader(r, 1<<16)
 
 	// Step 1: recruitment. A read is useful for a contig if it aligns near
@@ -209,6 +221,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	}
 
 	var exts []extRecord
+	var sorted [][]byte
 	extendedBases := 0
 	touched := 0
 	steals := 0
@@ -242,9 +255,10 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 		// Sort for determinism: the exchange accumulates read batches in
 		// source-rank order, but the walk must not depend on any arrival
 		// order at all. Sort a copy — the bundle is shared.
-		rds = append([][]byte(nil), rds...)
-		sort.Slice(rds, func(i, j int) bool { return string(rds[i]) < string(rds[j]) })
-		newSeq, added := extendContig(r, c.Seq, rds, opts)
+		sorted = append(sorted[:0], rds...)
+		slices.SortFunc(sorted, bytes.Compare)
+		r.Compute(float64(len(sorted) * 8))
+		newSeq, added := ext.Extend(c.Seq, sorted)
 		if added > 0 {
 			exts = append(exts, extRecord{ID: id, Seq: newSeq})
 			extendedBases += added
@@ -276,7 +290,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	got := dist.Exchange(r, exts,
 		func(e extRecord) int { owner, _ := cs.Locate(e.ID); return owner },
 		extRecord.WireSize, cs.Mode())
-	sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
+	slices.SortFunc(got, func(a, b extRecord) int { return cmp.Compare(a.ID, b.ID) })
 	for _, e := range got {
 		_, idx := cs.Locate(e.ID)
 		c := cs.Local(r)[idx]
@@ -317,59 +331,185 @@ func libraryWindows(opts Options) []int {
 	return out
 }
 
-// extendContig mer-walks both ends of a contig using the recruited reads and
+// maxMerLen is the longest mer a merKey holds: three 64-bit words of 2-bit
+// codes. It must cover DefaultOptions(seq.MaxK).MaxMer; the array length
+// below fails to compile otherwise.
+const maxMerLen = 96
+
+var _ [maxMerLen - (seq.MaxK + 12)]struct{}
+
+// merKey is a mer of up to maxMerLen bases packed two bits per base, the
+// last base in the lowest bits of word 0. Each mer size has its own table,
+// so the key needs no length.
+type merKey [3]uint64
+
+// merKeyMask returns the mask of the 2m bits a key of m bases uses.
+func merKeyMask(m int) merKey {
+	var mask merKey
+	for w := range mask {
+		switch bits := 2*m - 64*w; {
+		case bits >= 64:
+			mask[w] = ^uint64(0)
+		case bits > 0:
+			mask[w] = uint64(1)<<uint(bits) - 1
+		}
+	}
+	return mask
+}
+
+// push shifts base code c in as the last base of the key.
+func (k merKey) push(c byte, mask *merKey) merKey {
+	return merKey{
+		(k[0]<<2 | uint64(c)) & mask[0],
+		(k[1]<<2 | k[0]>>62) & mask[1],
+		(k[2]<<2 | k[1]>>62) & mask[2],
+	}
+}
+
+// Read bases are coded once per contig: upper-case ACGT as 0-3, lower-case
+// acgt as code|lowerCase, anything else as noBase. Only upper-case bases
+// form table keys, since walk queries come from upper-case contigs; a
+// following base counts in either case.
+const (
+	lowerCase byte = 4
+	noBase    byte = 0xFF
+)
+
+func merCode(c byte) byte {
+	code, ok := seq.CharToBase(c)
+	switch {
+	case !ok:
+		return noBase
+	case c >= 'a':
+		return code | lowerCase
+	}
+	return code
+}
+
+// merTable counts, for every upper-case mer of one size in the recruited
+// reads (both strands), how many times each base follows it. The value
+// indexes the Extender's count slab.
+type merTable struct {
+	built bool
+	mask  merKey
+	idx   map[merKey]int32
+}
+
+// Extender mer-walks contig ends through their recruited reads. It builds
+// the mer table of a size only when a walk first asks for it, and keeps its
+// tables and buffers across contigs, so one Extender per rank makes warm
+// extensions allocate only the extended sequence (and, rarely, a map table
+// split when a large table is refilled). Not safe for concurrent use.
+type Extender struct {
+	opts   Options
+	codes  []byte // merCode of every recruited read, forward then reverse strand
+	ends   []int  // end offset in codes of each strand
+	tables []merTable
+	counts [][4]int32
+	right  []byte // walk buffers for the right and left contig ends
+	left   []byte
+}
+
+// NewExtender returns an Extender for opts, with unset options defaulted as
+// Run defaults them. It panics if MaxMer exceeds the 96 bases a table key
+// holds.
+func NewExtender(opts Options) *Extender {
+	opts = opts.withDefaults()
+	if opts.MaxMer > maxMerLen {
+		panic(fmt.Sprintf("localasm: MaxMer %d exceeds the %d-base mer key", opts.MaxMer, maxMerLen))
+	}
+	tables := make([]merTable, opts.MaxMer-opts.MinMer+1)
+	for i := range tables {
+		tables[i].mask = merKeyMask(opts.MinMer + i)
+	}
+	return &Extender{opts: opts, tables: tables}
+}
+
+// Extend mer-walks both ends of a contig using the recruited reads and
 // returns the (possibly longer) sequence and the number of bases added.
-func extendContig(r *pgas.Rank, contigSeq []byte, reads [][]byte, opts Options) ([]byte, int) {
-	table := buildMerTable(reads, opts.MinMer, opts.MaxMer)
-	r.Compute(float64(len(reads) * 8))
-
-	// Extend to the right.
-	right := walk(contigSeq, table, opts)
-	// Extend to the left: walk the reverse complement's right end.
-	rc := seq.ReverseComplement(contigSeq)
-	left := walk(rc, table, opts)
-
+func (e *Extender) Extend(contigSeq []byte, reads [][]byte) ([]byte, int) {
+	e.reset(reads)
+	// A walk reads only the last MaxMer bases of its sequence, so each end
+	// starts from at most MaxMer bases; the left end walks the reverse
+	// complement of the contig's head.
+	n := min(len(contigSeq), e.opts.MaxMer)
+	e.right = e.walk(append(e.right[:0], contigSeq[len(contigSeq)-n:]...))
+	e.left = e.walk(seq.AppendReverseComplement(e.left[:0], contigSeq[:n]))
+	right, left := e.right[n:], e.left[n:]
 	if len(right) == 0 && len(left) == 0 {
 		return contigSeq, 0
 	}
 	newSeq := make([]byte, 0, len(contigSeq)+len(left)+len(right))
-	newSeq = append(newSeq, seq.ReverseComplement(left)...)
+	newSeq = seq.AppendReverseComplement(newSeq, left)
 	newSeq = append(newSeq, contigSeq...)
 	newSeq = append(newSeq, right...)
 	return newSeq, len(left) + len(right)
 }
 
-// merTable counts, for every observed mer of every size in [minMer, maxMer],
-// how many times each base follows it in the recruited reads (both strands).
-type merTable map[string]*[4]int
-
-func buildMerTable(reads [][]byte, minMer, maxMer int) merTable {
-	t := make(merTable)
-	add := func(s []byte) {
-		for m := minMer; m <= maxMer; m += 1 {
-			for i := 0; i+m < len(s); i++ {
-				code, ok := seq.CharToBase(s[i+m])
-				if !ok {
-					continue
-				}
-				window := s[i : i+m]
-				if !seq.ValidBases(window) {
-					continue
-				}
-				key := string(window)
-				counts, exists := t[key]
-				if !exists {
-					counts = &[4]int{}
-					t[key] = counts
-				}
-				counts[code]++
-			}
+// reset drops the previous contig's tables and codes the reads' strands.
+// The reverse strand is coded as seq.ReverseComplement would write it:
+// upper case, non-ACGT as N.
+func (e *Extender) reset(reads [][]byte) {
+	for i := range e.tables {
+		if e.tables[i].built {
+			clear(e.tables[i].idx)
+			e.tables[i].built = false
 		}
 	}
+	e.counts = e.counts[:0]
+	e.codes, e.ends = e.codes[:0], e.ends[:0]
 	for _, rd := range reads {
-		add(rd)
-		add(seq.ReverseComplement(rd))
+		start := len(e.codes)
+		for _, c := range rd {
+			e.codes = append(e.codes, merCode(c))
+		}
+		e.ends = append(e.ends, len(e.codes))
+		for i := len(e.codes) - 1; i >= start; i-- {
+			c := e.codes[i]
+			if c != noBase {
+				c = seq.ComplementCode(c)
+			}
+			e.codes = append(e.codes, c)
+		}
+		e.ends = append(e.ends, len(e.codes))
 	}
+}
+
+// table returns the mer table of size m, building it on first use by
+// rolling an m-base key over each strand once.
+func (e *Extender) table(m int) *merTable {
+	t := &e.tables[m-e.opts.MinMer]
+	if t.built {
+		return t
+	}
+	if t.idx == nil {
+		t.idx = make(map[merKey]int32)
+	}
+	start := 0
+	for _, end := range e.ends {
+		s := e.codes[start:end]
+		start = end
+		var key merKey
+		run := 0 // upper-case bases ending at j
+		for j := 0; j+1 < len(s); j++ {
+			if s[j] > 3 {
+				run = 0
+				continue
+			}
+			key = key.push(s[j], &t.mask)
+			if run++; run < m || s[j+1] == noBase {
+				continue
+			}
+			i, ok := t.idx[key]
+			if !ok {
+				i = int32(len(e.counts))
+				e.counts = append(e.counts, [4]int32{})
+				t.idx[key] = i
+			}
+			e.counts[i][s[j+1]&3]++
+		}
+	}
+	t.built = true
 	return t
 }
 
@@ -383,16 +523,24 @@ const (
 )
 
 // nextBase inspects the mer table for the unique supported continuation of
-// the current mer.
-func nextBase(t merTable, mer []byte, minSupport int) (byte, walkState) {
-	counts, ok := t[string(mer)]
+// the current mer. A mer with any base other than upper-case ACGT is a dead
+// end.
+func (e *Extender) nextBase(mer []byte) (byte, walkState) {
+	t := e.table(len(mer))
+	var key merKey
+	for _, c := range mer {
+		code := merCode(c)
+		if code > 3 {
+			return 0, stateDeadEnd
+		}
+		key = key.push(code, &t.mask)
+	}
+	i, ok := t.idx[key]
 	if !ok {
 		return 0, stateDeadEnd
 	}
-	best, second, bestCode := 0, 0, -1
-	total := 0
-	for code, c := range counts {
-		total += c
+	best, second, bestCode := int32(0), int32(0), -1
+	for code, c := range e.counts[i] {
 		if c > best {
 			second = best
 			best = c
@@ -401,21 +549,22 @@ func nextBase(t merTable, mer []byte, minSupport int) (byte, walkState) {
 			second = c
 		}
 	}
-	if total == 0 || best < minSupport {
+	if best < int32(e.opts.MinSupport) {
 		return 0, stateDeadEnd
 	}
-	if second >= minSupport {
+	if second >= int32(e.opts.MinSupport) {
 		return 0, stateFork
 	}
 	return byte(bestCode), stateExtend
 }
 
-// walk extends the right end of s by mer-walking with dynamic mer-size
+// walk extends the right end of cur by mer-walking with dynamic mer-size
 // shifting: upshift on forks, downshift on dead ends; terminate on a fork
-// after a downshift, a dead end after an upshift, or the extension cap.
-func walk(s []byte, t merTable, opts Options) []byte {
-	cur := append([]byte(nil), s...)
-	var added []byte
+// after a downshift, a dead end after an upshift, or the extension cap. It
+// appends the added bases to cur and returns it.
+func (e *Extender) walk(cur []byte) []byte {
+	opts := &e.opts
+	start := len(cur)
 	m := opts.K
 	if m > opts.MaxMer {
 		m = opts.MaxMer
@@ -424,31 +573,28 @@ func walk(s []byte, t merTable, opts Options) []byte {
 		m = opts.MinMer
 	}
 	lastShift := 0 // +1 upshift, -1 downshift, 0 none
-	for len(added) < opts.MaxExtension {
+	for len(cur)-start < opts.MaxExtension {
 		if len(cur) < m {
 			break
 		}
-		mer := cur[len(cur)-m:]
-		code, state := nextBase(t, mer, opts.MinSupport)
+		code, state := e.nextBase(cur[len(cur)-m:])
 		switch state {
 		case stateExtend:
-			base := seq.BaseToChar(code)
-			cur = append(cur, base)
-			added = append(added, base)
+			cur = append(cur, seq.BaseToChar(code))
 			lastShift = 0
 		case stateFork:
 			if lastShift == -1 || m+opts.ShiftStep > opts.MaxMer {
-				return added
+				return cur
 			}
 			m += opts.ShiftStep
 			lastShift = 1
 		case stateDeadEnd:
 			if lastShift == 1 || m-opts.ShiftStep < opts.MinMer {
-				return added
+				return cur
 			}
 			m -= opts.ShiftStep
 			lastShift = -1
 		}
 	}
-	return added
+	return cur
 }
