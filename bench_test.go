@@ -314,6 +314,11 @@ func BenchmarkWallclockScaling(b *testing.B) {
 		SimSeconds      float64 `json:"sim_seconds"`
 		ReadsPerSecCore float64 `json:"reads_per_sec_per_core"`
 		Scaffolds       int     `json:"scaffolds"`
+		// WallRatioVsPrev is this point's wall time over the previous
+		// point's, which had a quarter of the ranks: about 4 or less is
+		// linear, well above 4 is an O(P²) host loop. The first point
+		// has no predecessor and omits it.
+		WallRatioVsPrev float64 `json:"wall_ratio_vs_prev,omitempty"`
 	}
 	for i := 0; i < b.N; i++ {
 		var points []point
@@ -330,14 +335,18 @@ func BenchmarkWallclockScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			points = append(points, point{
+			pt := point{
 				Ranks:           ranks,
 				Nodes:           ranks / cfg.RanksPerNode,
 				WallSeconds:     wall.Seconds(),
 				SimSeconds:      res.SimSeconds,
 				ReadsPerSecCore: float64(len(reads)) / wall.Seconds() / float64(cores),
 				Scaffolds:       len(res.FinalSequences()),
-			})
+			}
+			if len(points) > 0 {
+				pt.WallRatioVsPrev = pt.WallSeconds / points[len(points)-1].WallSeconds
+			}
+			points = append(points, pt)
 			if wall > pointBudget {
 				break
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -118,5 +119,59 @@ func TestLargePSmokeP1024(t *testing.T) {
 			t.Errorf("workers=%d diverged: sim=%s hash=%s, want sim=%s hash=%s",
 				workers, got.sim, got.hash, first.sim, first.hash)
 		}
+	}
+}
+
+// TestLargePSmokeP4096 runs the full pipeline — every k iteration — at
+// P=4096/RPN=16 on a community shaped like the repository benchmark's wide
+// workload (48 organisms, 4 of them 250x as abundant as the rest, 368 read
+// pairs at seed 1) and asserts the result is bit-identical across pool
+// sizes and equal to golden values captured while every rank still scanned
+// all P partitions in DBG traversal and all P destinations in each Updater
+// flush. It stays affordable only because no per-rank code does O(P) host
+// work any more; skipped under -race like the P=1024 smoke.
+func TestLargePSmokeP4096(t *testing.T) {
+	if raceEnabled {
+		t.Skip("P=4096 smoke is too slow under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("P=4096 smoke skipped in -short mode")
+	}
+	const (
+		wantSimBits = 0x3fa6da9fbb75241e
+		wantHash    = "cbd68903840d4bf512a416c06eb93a714326d3052c6bc2c7bbd162af426edfe8"
+	)
+	const organisms, dominant = 48, 4
+	comm := sim.GenerateCommunity(sim.CommunityConfig{
+		NumGenomes: organisms, MeanGenomeLen: 1600, LenVariation: 0.2,
+		RRNALen: 400, RRNACopies: 1, RRNADivergence: 0.1, Seed: 20180101,
+	})
+	total := float64(dominant) + float64(organisms-dominant)/250
+	for i := range comm.Genomes {
+		comm.Genomes[i].Abundance = 1 / 250.0 / total
+		if i < dominant {
+			comm.Genomes[i].Abundance = 1 / total
+		}
+	}
+	reads := sim.SimulateReads(comm, sim.ReadConfig{
+		ReadLen: 100, InsertSize: 280, InsertStd: 25, ErrorRate: 0.01, TotalPairs: 368, Seed: 1,
+	})
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := DefaultConfig(4096)
+			cfg.RanksPerNode = 16
+			cfg.Workers = workers
+			cfg.MinContigLen = 200
+			res, err := Assemble(reads, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := math.Float64bits(res.SimSeconds); got != wantSimBits {
+				t.Errorf("sim seconds bits = %016x, want %016x", got, uint64(wantSimBits))
+			}
+			if got := resultFingerprint(res); got != wantHash {
+				t.Errorf("output hash = %s, want %s", got, wantHash)
+			}
+		})
 	}
 }

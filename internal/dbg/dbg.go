@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"sync/atomic"
 
 	"mhmgo/internal/dht"
 	"mhmgo/internal/dist"
@@ -116,14 +117,18 @@ func (t ThresholdOptions) THQFor(depth uint32) uint32 {
 type Graph struct {
 	K       int
 	Entries *dht.Map[seq.Kmer, Entry]
+	// vertices is the machine-wide vertex count, summed by Build from each
+	// rank's local count so that no rank has to scan all P partitions.
+	vertices atomic.Int64
 }
+
+// Vertices returns the number of graph vertices counted by Build, the only
+// constructor of a Graph. It equals Entries.Len() without taking a single
+// stripe lock.
+func (g *Graph) Vertices() int { return int(g.vertices.Load()) }
 
 func kmerHash(k seq.Kmer) uint64 { return k.Hash() }
 
-// NewGraph creates an empty graph for k-mers of length k.
-func NewGraph(m *pgas.Machine, k int) *Graph {
-	return &Graph{K: k, Entries: dht.NewMap[seq.Kmer, Entry](m, kmerHash, 24)}
-}
 
 // Build classifies the k-mer counts into graph entries. It is collective:
 // each rank classifies the counts it owns (the entries land on the same
@@ -131,19 +136,22 @@ func NewGraph(m *pgas.Machine, k int) *Graph {
 func Build(r *pgas.Rank, counts *dht.Map[seq.Kmer, seq.KmerCount], k int, topts ThresholdOptions) *Graph {
 	var g *Graph
 	if r.ID() == 0 {
-		g = NewGraph(r.Machine(), k)
+		g = &Graph{K: k, Entries: dht.NewMap[seq.Kmer, Entry](r.Machine(), kmerHash, 24)}
 	}
 	g = pgas.Broadcast(r, g)
 	if topts.MinCount == 0 {
 		topts.MinCount = 1
 	}
+	n := 0
 	counts.ForEachLocal(r, func(km seq.Kmer, kc seq.KmerCount) {
 		thq := topts.THQFor(kc.Count)
 		e := Entry{Count: kc.Count}
 		e.Ext.Left = kc.Left.Classify(topts.MinCount, thq)
 		e.Ext.Right = kc.Right.Classify(topts.MinCount, thq)
 		g.Entries.SetLocal(r, km, e)
+		n++
 	})
+	g.vertices.Add(int64(n))
 	r.Barrier()
 	return g
 }
@@ -235,7 +243,7 @@ type TraverseOptions struct {
 	// MinContigLen drops contigs shorter than this many bases (0 keeps all).
 	MinContigLen int
 	// MaxSteps bounds a single walk as a safeguard against cycles; 0 means
-	// the total number of graph vertices.
+	// the total number of graph vertices plus one.
 	MaxSteps int
 }
 
@@ -251,7 +259,7 @@ type TraverseOptions struct {
 func Traverse(r *pgas.Rank, g *Graph, opts TraverseOptions) []Contig {
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
-		maxSteps = g.Entries.Len() + 1
+		maxSteps = g.Vertices() + 1
 	}
 	type vertex struct {
 		km seq.Kmer

@@ -1,6 +1,10 @@
 package dbg
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -261,5 +265,70 @@ func TestDistributeContigsDeduplicatesAndAssignsIDs(t *testing.T) {
 			t.Errorf("shard IDs not dense in rank order: %v", ids)
 			break
 		}
+	}
+}
+
+// TestVerticesMatchesEntriesLen pins Graph.Vertices, the vertex count Build
+// sums from each rank's local classification, against the stripe-scanning
+// Entries.Len, and checks that Traverse's default step bound (which reads
+// Vertices) walks exactly as an explicit Entries.Len()+1 bound does: same
+// contigs on every rank, same simulated seconds and communication counters.
+// P=64 on a short genome leaves many ranks owning no vertex at all.
+func TestVerticesMatchesEntriesLen(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	genome := make([]byte, 120)
+	for i := range genome {
+		genome[i] = seq.BaseToChar(byte(rng.Intn(4)))
+	}
+	reads := coverWithReads(string(genome), 40, 3, 3)
+	const k = 15
+	for _, ranks := range []int{1, 3, 64} {
+		t.Run(fmt.Sprintf("P=%d", ranks), func(t *testing.T) {
+			m := pgas.NewMachine(pgas.Config{Ranks: ranks})
+			opts := kmeranalysis.DefaultOptions(k)
+			opts.UseBloom = false
+			var g *Graph
+			m.Run(func(r *pgas.Rank) {
+				lo, hi := r.BlockRange(len(reads))
+				res := kmeranalysis.Run(r, reads[lo:hi], opts, nil)
+				if built := Build(r, res.Counts, k, DefaultThresholds()); r.ID() == 0 {
+					g = built
+				}
+			})
+			n := g.Entries.Len()
+			if n == 0 {
+				t.Fatal("fixture graph has no vertices")
+			}
+			if got := g.Vertices(); got != n {
+				t.Fatalf("Vertices() = %d, Entries.Len() = %d", got, n)
+			}
+			if ranks == 64 {
+				empty := 0
+				for rank := 0; rank < ranks; rank++ {
+					if g.Entries.LocalLen(rank) == 0 {
+						empty++
+					}
+				}
+				if empty == 0 {
+					t.Fatalf("every one of %d ranks owns a vertex; the fixture must leave some empty", ranks)
+				}
+			}
+			traverse := func(topts TraverseOptions) ([][]Contig, pgas.RunResult) {
+				out := make([][]Contig, ranks)
+				res := m.Run(func(r *pgas.Rank) { out[r.ID()] = Traverse(r, g, topts) })
+				return out, res
+			}
+			gotContigs, gotRun := traverse(TraverseOptions{})
+			wantContigs, wantRun := traverse(TraverseOptions{MaxSteps: n + 1})
+			if !reflect.DeepEqual(gotContigs, wantContigs) {
+				t.Errorf("default Traverse differs from MaxSteps=Entries.Len()+1")
+			}
+			if math.Float64bits(gotRun.SimSeconds) != math.Float64bits(wantRun.SimSeconds) {
+				t.Errorf("sim seconds %v, want %v", gotRun.SimSeconds, wantRun.SimSeconds)
+			}
+			if gotRun.Stats != wantRun.Stats {
+				t.Errorf("comm stats %+v, want %+v", gotRun.Stats, wantRun.Stats)
+			}
+		})
 	}
 }

@@ -44,7 +44,7 @@ func TestWalkPackedMatchesASCII(t *testing.T) {
 	m, g, vertices := walkFixtureGraph(t, 600, 21)
 	ws := NewWalkScratch()
 	m.Run(func(rk *pgas.Rank) {
-		maxSteps := g.Entries.Len() + 1
+		maxSteps := g.Vertices() + 1
 		for _, km := range vertices {
 			for _, forward := range []bool{true, false} {
 				n := g.WalkKernel(rk, km, forward, maxSteps, ws)
@@ -84,7 +84,7 @@ func BenchmarkKernelDBGWalk(b *testing.B) {
 		ws := NewWalkScratch()
 		m.Run(func(rk *pgas.Rank) {
 			if maxSteps == 0 {
-				maxSteps = g.Entries.Len() + 1
+				maxSteps = g.Vertices() + 1
 			}
 			g.WalkKernel(rk, vertices[0], true, maxSteps, ws) // warm the buffers
 			b.ReportAllocs()
@@ -104,7 +104,7 @@ func BenchmarkKernelDBGWalk(b *testing.B) {
 	b.Run("ascii", func(b *testing.B) {
 		m.Run(func(rk *pgas.Rank) {
 			if maxSteps == 0 {
-				maxSteps = g.Entries.Len() + 1
+				maxSteps = g.Vertices() + 1
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -192,6 +192,12 @@ func (m *Map[K, V]) readPart(p *partition[K, V], si uint64, key K) (V, bool) {
 
 // Len returns the total number of entries across all partitions. It must not
 // be called concurrently with updates.
+//
+// Len costs O(P·stripes) and, unless the map is frozen, takes every stripe
+// lock of every partition. It is for coordinators, tests and Snapshot only:
+// per-rank code inside an SPMD region must not call it, since P ranks each
+// scanning all P partitions is O(P²) host work machine-wide. Count entries as
+// they are built instead (dbg.Graph.Vertices does) or use LocalLen.
 func (m *Map[K, V]) Len() int {
 	total := 0
 	for i := range m.parts {

@@ -1,6 +1,9 @@
 package dht
 
 import (
+	"maps"
+	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -263,6 +266,92 @@ func TestUpdaterFlushAllStaggered(t *testing.T) {
 		if want := uint64(p * (p - 1)); res.Stats.Messages != want {
 			t.Errorf("p=%d: %d messages, want %d", p, res.Stats.Messages, want)
 		}
+	}
+}
+
+// denseFlushAll is the historical FlushAll: it visits all P destinations in
+// the staggered order (d-start+P)%P, empty or not. It is kept as the oracle
+// the sparse FlushAll must match charge for charge.
+func denseFlushAll[K comparable, V any](u *Updater[K, V]) {
+	p := u.m.machine.Ranks()
+	start := u.r.ID()
+	for i := 0; i < p; i++ {
+		u.flushDest((start + i) % p)
+	}
+}
+
+// TestUpdaterFlushAllMatchesDenseOracle pins the sparse FlushAll against the
+// dense all-destinations loop at P=64. Each rank buffers random updates to a
+// rank-dependent number of destinations; both flushes must leave bit-identical
+// rank clocks and equal per-rank CommStats (so the charges were folded into
+// each clock in the same staggered order, not merely summed to the same
+// total) and equal map contents. The aggregate=false and auto-flush cases
+// reach FlushAll with fewer or no batches left over.
+func TestUpdaterFlushAllMatchesDenseOracle(t *testing.T) {
+	const ranks = 64
+	type outcome struct {
+		clocks []uint64
+		stats  []pgas.CommStats
+		total  pgas.CommStats
+		snap   map[int]int
+	}
+	run := func(batchSize int, aggregate bool, flush func(*Updater[int, int])) outcome {
+		m := pgas.NewMachine(pgas.Config{Ranks: ranks, RanksPerNode: 8})
+		dm := NewMap[int, int](m, intHash, 16)
+		out := outcome{clocks: make([]uint64, ranks), stats: make([]pgas.CommStats, ranks)}
+		res := m.Run(func(r *pgas.Rank) {
+			rng := rand.New(rand.NewSource(int64(r.ID())))
+			u := dm.NewUpdater(r, func(e, v int, _ bool) int { return e + v }, batchSize, aggregate)
+			// Key pools from one key (one destination) up to thousands
+			// (every destination), so some ranks flush to a handful of
+			// partitions and others to all of them.
+			pool := 1 + rng.Intn(2000)
+			for i, n := 0, rng.Intn(1500); i < n; i++ {
+				u.Update(rng.Intn(pool), 1+rng.Intn(9))
+			}
+			flush(u)
+			if u.Pending() != 0 {
+				t.Errorf("rank %d: %d updates pending after flush", r.ID(), u.Pending())
+			}
+			out.clocks[r.ID()] = math.Float64bits(r.Clock())
+			out.stats[r.ID()] = r.Stats()
+			r.Barrier()
+		})
+		out.total = res.Stats
+		out.snap = dm.Snapshot()
+		return out
+	}
+	for _, tc := range []struct {
+		name      string
+		batchSize int
+		aggregate bool
+	}{
+		{"aggregate", 1 << 20, true},
+		{"auto-flush", 5, true},
+		{"unaggregated", 1 << 20, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := run(tc.batchSize, tc.aggregate, (*Updater[int, int]).FlushAll)
+			want := run(tc.batchSize, tc.aggregate, denseFlushAll[int, int])
+			for rank := 0; rank < ranks; rank++ {
+				if got.clocks[rank] != want.clocks[rank] {
+					t.Errorf("rank %d clock %v, dense oracle %v", rank,
+						math.Float64frombits(got.clocks[rank]), math.Float64frombits(want.clocks[rank]))
+				}
+				if got.stats[rank] != want.stats[rank] {
+					t.Errorf("rank %d stats %+v, dense oracle %+v", rank, got.stats[rank], want.stats[rank])
+				}
+			}
+			if got.total != want.total {
+				t.Errorf("run stats %+v, dense oracle %+v", got.total, want.total)
+			}
+			if !maps.Equal(got.snap, want.snap) {
+				t.Errorf("map contents differ from the dense oracle (%d vs %d entries)", len(got.snap), len(want.snap))
+			}
+			if len(got.snap) == 0 {
+				t.Error("no updates landed")
+			}
+		})
 	}
 }
 

@@ -1,6 +1,10 @@
 package dht
 
-import "mhmgo/internal/pgas"
+import (
+	"slices"
+
+	"mhmgo/internal/pgas"
+)
 
 // kvPair is the unit buffered by an Updater. The stripe index is computed
 // once at Update time (the key is hashed anyway to find its owner) so that
@@ -25,10 +29,11 @@ type Updater[K comparable, V any] struct {
 	// (≈400 MB of slice headers alone at P=4096), while the map stays
 	// proportional to the destinations this rank actually talks to between
 	// flushes. Flush order is never derived from map iteration (FlushAll
-	// walks rank IDs), so determinism is unaffected.
+	// sorts the destinations it collects), so determinism is unaffected.
 	batches   map[int][]kvPair[K, V]
 	byStripe  [][]kvPair[K, V] // reusable flush scratch, indexed by stripe
 	touched   []uint32         // stripes used by the current flush
+	dests     []int            // reusable FlushAll scratch: non-empty destinations
 	batchSize int
 	aggregate bool
 	pending   int
@@ -80,12 +85,30 @@ func (u *Updater[K, V]) Flush() { u.FlushAll() }
 // ranks through partition 0's stripe locks together (a lock convoy that
 // serializes the wall-clock flush); staggering the start by rank ID spreads
 // the flushes across all partitions. The updates are commutative, so the
-// order does not affect the result.
+// order does not affect the table, but it does fix the order in which the
+// flush charges accumulate into the rank's clock.
+//
+// Only the destinations holding buffered updates are visited, sorted into
+// that staggered order: walking all P destinations on every rank would make
+// each phase-closing flush O(P²) machine-wide, almost all of it on empty
+// batches.
 func (u *Updater[K, V]) FlushAll() {
+	if u.pending == 0 {
+		return
+	}
 	p := u.m.machine.Ranks()
 	start := u.r.ID()
-	for i := 0; i < p; i++ {
-		u.flushDest((start + i) % p)
+	u.dests = u.dests[:0]
+	for d, batch := range u.batches {
+		if len(batch) > 0 {
+			u.dests = append(u.dests, d)
+		}
+	}
+	slices.SortFunc(u.dests, func(a, b int) int {
+		return (a-start+p)%p - (b-start+p)%p
+	})
+	for _, d := range u.dests {
+		u.flushDest(d)
 	}
 }
 

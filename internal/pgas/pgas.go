@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -749,19 +750,16 @@ type clockBarrier struct {
 	waiters []*parkToken
 	spare   []*parkToken
 	// aborted poisons the barrier: every current and future participant
-	// unwinds with the abortPanic sentinel instead of synchronizing.
-	aborted bool
+	// unwinds with the abortPanic sentinel instead of synchronizing. It is
+	// written under mu (abort) but read lock-free on the wake path, where
+	// all P waiters of an epoch wake at once and would otherwise contend on
+	// mu with the next epoch's arrivals; the wake channel orders abort's
+	// store before the woken rank's load.
+	aborted atomic.Bool
 }
 
 func newClockBarrier(n int) *clockBarrier {
 	return &clockBarrier{n: n}
-}
-
-func (b *clockBarrier) isAborted() bool {
-	b.mu.Lock()
-	a := b.aborted
-	b.mu.Unlock()
-	return a
 }
 
 // await blocks until all n participants have arrived and returns the maximum
@@ -774,7 +772,7 @@ func (b *clockBarrier) isAborted() bool {
 // (Run's cleanup consults Rank.hasSlot).
 func (b *clockBarrier) await(r *Rank, clock float64, onComplete func()) float64 {
 	b.mu.Lock()
-	if b.aborted {
+	if b.aborted.Load() {
 		b.mu.Unlock()
 		panic(abortPanic{})
 	}
@@ -813,7 +811,7 @@ func (b *clockBarrier) await(r *Rank, clock float64, onComplete func()) float64 
 	r.hasSlot = false
 	r.machine.sched.release()
 	<-t.wake
-	if b.isAborted() {
+	if b.aborted.Load() {
 		// The wake-up came from (or was overtaken by) an abort, so it
 		// carries no slot grant: unwind without marking a slot held.
 		panic(abortPanic{})
@@ -825,11 +823,11 @@ func (b *clockBarrier) await(r *Rank, clock float64, onComplete func()) float64 
 // abort poisons the barrier and wakes every waiter.
 func (b *clockBarrier) abort() {
 	b.mu.Lock()
-	if b.aborted {
+	if b.aborted.Load() {
 		b.mu.Unlock()
 		return
 	}
-	b.aborted = true
+	b.aborted.Store(true)
 	waiters := b.waiters
 	b.waiters = nil
 	b.mu.Unlock()

@@ -162,7 +162,7 @@ func BenchmarkKernelDBGWalk(b *testing.B) {
 			if len(vertices) == 0 {
 				b.Fatal("fixture graph has no vertices")
 			}
-			maxSteps := g.Entries.Len() + 1
+			maxSteps := g.Vertices() + 1
 			ws := dbg.NewWalkScratch()
 			var n int
 			packed := measureKernel(5_000, func() {
