@@ -1,9 +1,9 @@
 // Package aligner implements a merAligner-style distributed read-to-contig
-// aligner (Sections II-F and II-I of the paper): a seed-and-extend algorithm
-// over a distributed seed index, with a per-rank software cache for the
-// read-only lookup phase and the read-localization optimization that
-// redistributes reads by the contig they align to so that subsequent
-// iterations hit the cache instead of the network.
+// aligner (Section II-F of the paper): a seed-and-extend algorithm over a
+// distributed seed index, with a per-rank software cache for the read-only
+// lookup phase. Read localization (Section II-I), which redistributes reads
+// by the contig they align to so that subsequent iterations hit the cache
+// instead of the network, consumes these alignments in core.
 package aligner
 
 import (
@@ -504,65 +504,4 @@ func ExtendKernel(readSeq []byte, contig dbg.Contig, hit SeedHit, seedOff int, r
 // benchmarked and equivalence-tested against.
 func ExtendKernelASCII(readSeq []byte, contig dbg.Contig, hit SeedHit, seedOff int, reverse bool, opts Options) (Alignment, bool) {
 	return extendBytes(readSeq, contig, hit, seedOff, reverse, opts, nil)
-}
-
-// DistributeAlignments routes every alignment to the rank owning its contig
-// and returns the resulting distributed set, sorted by ReadIdx within each
-// shard. This replaces the old GatherAlignments gather-to-all: the contig's
-// owner holds exactly the alignments it needs for recruitment and link work,
-// and no rank ever materializes the full alignment set. Collective.
-func DistributeAlignments(r *pgas.Rank, local []Alignment, contigs *dbg.ContigSet) *dist.Set[Alignment] {
-	s := dist.New(r, local,
-		func(a Alignment) int { return contigs.RankOfID(a.ContigID) },
-		Alignment.WireSize, contigs.Mode())
-	s.SortLocal(r, func(a, b Alignment) bool {
-		if a.ReadIdx != b.ReadIdx {
-			return a.ReadIdx < b.ReadIdx
-		}
-		return a.ContigID < b.ContigID
-	})
-	return s
-}
-
-// LocalizeReads implements the read-localization optimization (Section II-I)
-// for independent (unpaired) reads: every read that aligned to contig c is
-// shipped to c's owner rank in the distributed contig set, so the read, its
-// contig and its alignments end up co-located; unaligned reads stay with
-// their current owner. The returned slice is the calling rank's new local
-// read set. alignments must cover the same reads slice passed here (ReadIdx
-// relative to readOffset). The pipeline itself uses the pair-preserving
-// variant (core.localizePairs) so mates stay on one rank.
-func LocalizeReads(r *pgas.Rank, contigs *dbg.ContigSet, reads []seq.Read, readOffset int, alignments []Alignment) []seq.Read {
-	dest := make([]int, len(reads))
-	for i := range dest {
-		dest[i] = r.ID() // unaligned reads stay put
-	}
-	for _, a := range alignments {
-		i := a.ReadIdx - readOffset
-		if i >= 0 && i < len(reads) {
-			dest[i] = contigs.RankOfID(a.ContigID)
-		}
-	}
-	type routedRead struct {
-		Read seq.Read
-		Dest int
-	}
-	items := make([]routedRead, len(reads))
-	for i, rd := range reads {
-		items[i] = routedRead{Read: rd, Dest: dest[i]}
-	}
-	got := dht.RouteFunc(r, items, func(it routedRead) int { return it.Dest },
-		func(it routedRead) int { return it.Read.WireSize() + 8 })
-	out := make([]seq.Read, len(got))
-	received := 0
-	for i, it := range got {
-		out[i] = it.Read
-		received += it.Read.WireSize() + 8
-	}
-	// The shipped reads are input data changing owner, not a new collective
-	// materialization: release the exchange's resident charge (the
-	// momentary spike still registers in the peak meter) so iterated
-	// localization does not accumulate stale charges.
-	r.ReleaseResident(received)
-	return out
 }

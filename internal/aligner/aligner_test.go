@@ -91,12 +91,12 @@ func TestAlignPerfectRead(t *testing.T) {
 			}
 		}
 		got, _ := AlignReads(r, idx, reads, 0, opts)
-		// The distributed alignment set replaces the old gather-to-all:
-		// emit it to rank 0 for the assertions.
-		s := DistributeAlignments(r, got, cs)
-		all := s.Emit(r)
+		// Gather every rank's alignments for the assertions.
+		parts := pgas.GatherV(r, got, 1)
 		if r.ID() == 0 {
-			alignments = all
+			for _, part := range parts {
+				alignments = append(alignments, part...)
+			}
 			for k, v := range idMap {
 				ids[k] = v
 			}
@@ -226,96 +226,5 @@ func TestAlignmentRateOnSimulatedReads(t *testing.T) {
 	rate := float64(aligned) / float64(total)
 	if rate < 0.9 {
 		t.Errorf("only %v of reads aligned to their source genomes", rate)
-	}
-}
-
-// TestDistributeAlignmentsOwnerRouted: every alignment must land on the rank
-// owning its contig, sorted by read index within the shard.
-func TestDistributeAlignmentsOwnerRouted(t *testing.T) {
-	m := pgas.NewMachine(pgas.Config{Ranks: 4})
-	contigs := testContigs()
-	opts := DefaultOptions(15)
-	m.Run(func(r *pgas.Rank) {
-		cs, _ := distributeTestContigs(r, contigs)
-		idx := BuildIndex(r, cs, opts)
-		var reads []seq.Read
-		for i := 0; i+40 <= len(contigs[r.ID()%2].Seq); i += 8 {
-			reads = append(reads, seq.Read{ID: "x", Seq: contigs[r.ID()%2].Seq[i : i+40]})
-		}
-		got, _ := AlignReads(r, idx, reads, r.ID()*1000, opts)
-		s := DistributeAlignments(r, got, cs)
-		prev := -1
-		for _, a := range s.Local(r) {
-			if owner := cs.RankOfID(a.ContigID); owner != r.ID() {
-				t.Errorf("rank %d holds alignment for contig %d owned by %d", r.ID(), a.ContigID, owner)
-			}
-			if a.ReadIdx < prev {
-				t.Errorf("shard not sorted by ReadIdx")
-			}
-			prev = a.ReadIdx
-		}
-		// No alignment may be lost in routing.
-		localIn := pgas.AllReduce(r, len(got), pgas.ReduceSum)
-		localOut := pgas.AllReduce(r, s.Len(r), pgas.ReduceSum)
-		if localIn != localOut {
-			t.Errorf("routing lost alignments: %d in, %d out", localIn, localOut)
-		}
-	})
-}
-
-func TestLocalizeReadsGroupsByContig(t *testing.T) {
-	m := pgas.NewMachine(pgas.Config{Ranks: 4})
-	contigs := testContigs()
-	opts := DefaultOptions(15)
-	// Build reads all drawn from contig 0 except a few unaligned ones.
-	var reads []seq.Read
-	for i := 0; i+40 <= len(contigs[0].Seq); i += 4 {
-		reads = append(reads, seq.Read{ID: "c0", Seq: contigs[0].Seq[i : i+40]})
-	}
-	for i := 0; i+40 <= len(contigs[1].Seq); i += 4 {
-		reads = append(reads, seq.Read{ID: "c1", Seq: contigs[1].Seq[i : i+40]})
-	}
-	reads = append(reads, seq.Read{ID: "junk", Seq: []byte(strings.Repeat("ACAC", 12))})
-
-	var perRankCounts [4]map[string]int
-	owner := map[string]int{}
-	m.Run(func(r *pgas.Rank) {
-		cs, ids := distributeTestContigs(r, contigs)
-		idx := BuildIndex(r, cs, opts)
-		lo, hi := r.BlockRange(len(reads))
-		aligns, _ := AlignReads(r, idx, reads[lo:hi], lo, opts)
-		localized := LocalizeReads(r, cs, reads[lo:hi], lo, aligns)
-		counts := map[string]int{}
-		for _, rd := range localized {
-			counts[rd.ID]++
-		}
-		perRankCounts[r.ID()] = counts
-		if r.ID() == 0 {
-			owner["c0"] = cs.RankOfID(ids[string(contigs[0].Seq)])
-			owner["c1"] = cs.RankOfID(ids[string(contigs[1].Seq)])
-		}
-	})
-	// All reads from a contig must land on the rank owning that contig.
-	totalC0, totalC1, totalJunk := 0, 0, 0
-	for rank, counts := range perRankCounts {
-		totalC0 += counts["c0"]
-		totalC1 += counts["c1"]
-		totalJunk += counts["junk"]
-		if rank != owner["c0"] && counts["c0"] > 0 {
-			t.Errorf("rank %d holds %d contig-0 reads after localization (owner %d)", rank, counts["c0"], owner["c0"])
-		}
-		if rank != owner["c1"] && counts["c1"] > 0 {
-			t.Errorf("rank %d holds %d contig-1 reads after localization (owner %d)", rank, counts["c1"], owner["c1"])
-		}
-	}
-	wantC0 := 0
-	for i := 0; i+40 <= len(contigs[0].Seq); i += 4 {
-		wantC0++
-	}
-	if totalC0 != wantC0 {
-		t.Errorf("lost contig-0 reads: %d vs %d", totalC0, wantC0)
-	}
-	if totalJunk != 1 {
-		t.Errorf("unaligned read lost or duplicated: %d", totalJunk)
 	}
 }

@@ -27,42 +27,6 @@ import (
 // completed stage.
 var ErrFaultInjected = errors.New("core: injected fault")
 
-// Stage indices in pipeline order. A checkpoint step is identified by
-// (iteration, stage index); steps are totally ordered lexicographically.
-// Scaffolding runs once after the k loop and is recorded under the final
-// iteration's index.
-const (
-	stageIdxKmerAnalysis = iota
-	stageIdxKmerMerge
-	stageIdxDBGTraversal
-	stageIdxContigRefine
-	stageIdxAlignment
-	stageIdxLocalAssembly
-	stageIdxScaffolding
-)
-
-// stageNames maps a stage index to the stage name constant used in timing
-// breakdowns and manifest step records.
-var stageNames = [...]string{
-	StageKmerAnalysis,
-	StageKmerMerge,
-	StageDBGTraversal,
-	StageContigRefine,
-	StageAlignment,
-	StageLocalAssembly,
-	StageScaffolding,
-}
-
-// stageIndexOf resolves a stage name back to its pipeline index.
-func stageIndexOf(name string) (int, bool) {
-	for i, n := range stageNames {
-		if n == name {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // configHash returns the hex SHA-256 of a canonical encoding of every
 // configuration field that influences pipeline output or simulated timing.
 // The checkpoint/fault-injection knobs (CheckpointDir, ResumeFrom,
@@ -161,11 +125,14 @@ func inputHash(reads []seq.Read) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// rankState is the complete per-rank pipeline state at a stage boundary:
-// everything runPipeline needs to re-enter the loop at the next stage with
-// bit-identical behavior, including the simulated clock and resident-bytes
-// meter (identical across ranks at a boundary thanks to the stage-end
-// barrier, and required for the sim-seconds equality guarantee).
+// rankState is the per-rank pipeline state. The pipeline mutates it live;
+// at a stage boundary, with the header, presence flags and the distributed
+// structures' local shards filled in (pipeline.snapshot), it is the complete
+// checkpoint payload: everything runPipeline needs to re-enter the loop at
+// the next stage with bit-identical behavior, including the simulated clock
+// and resident-bytes meter (identical across ranks at a boundary thanks to
+// the stage-end barrier, and required for the sim-seconds equality
+// guarantee).
 type rankState struct {
 	ranks, rank int
 	it, stage   int
@@ -182,9 +149,9 @@ type rankState struct {
 	localAsmBases  int
 	cacheHitRate   float64
 
-	// aligns is the rank's lastAligns slice, serialized only at boundaries
-	// where a later stage still consumes it (local assembly in the same
-	// iteration, or read localization at the iteration end).
+	// aligns is the rank's latest alignment set, serialized only at
+	// boundaries where a later stage still consumes it (local assembly in
+	// the same iteration, or read localization at the iteration end).
 	hasAligns bool
 	aligns    []aligner.Alignment
 
@@ -198,14 +165,12 @@ type rankState struct {
 	hasCounts bool
 	counts    []seq.KmerCount
 
-	// Scaffolding output, present only at the scaffolding boundary.
-	// scaffolds is non-empty on rank 0 only (the emitted final list);
-	// scaffoldLocal is the rank's own shard.
-	hasScaffold   bool
-	scaffolds     []scaffold.Scaffold
-	scaffoldLocal []scaffold.Scaffold
-	scafCounters  [8]int
-	rounds        []RoundStats
+	// Scaffolding output, serialized only at the scaffolding boundary.
+	// scaffold.Scaffolds is non-empty on rank 0 only (the emitted final
+	// list); scaffold.Local is the rank's own shard.
+	hasScaffold bool
+	scaffold    scaffold.Result
+	rounds      []RoundStats
 }
 
 // rankStateMagic versions the per-rank shard format. v2 widened the read
@@ -259,16 +224,16 @@ func encodeRankState(st *rankState) []byte {
 	}
 	e.Bool(st.hasScaffold)
 	if st.hasScaffold {
-		e.Int(len(st.scaffolds))
-		for _, s := range st.scaffolds {
+		e.Int(len(st.scaffold.Scaffolds))
+		for _, s := range st.scaffold.Scaffolds {
 			e.Scaffold(s)
 		}
-		e.Int(len(st.scaffoldLocal))
-		for _, s := range st.scaffoldLocal {
+		e.Int(len(st.scaffold.Local))
+		for _, s := range st.scaffold.Local {
 			e.Scaffold(s)
 		}
-		for _, v := range st.scafCounters {
-			e.Int(v)
+		for _, v := range scaffoldCounters(&st.scaffold) {
+			e.Int(*v)
 		}
 		e.Int(len(st.rounds))
 		for _, rs := range st.rounds {
@@ -307,7 +272,7 @@ func decodeRankState(data []byte) (*rankState, error) {
 	if st.stage, err = d.Int(); err != nil {
 		return nil, err
 	}
-	if st.stage < 0 || st.stage >= len(stageNames) {
+	if st.stage < 0 || st.stage >= len(stages) {
 		return nil, fmt.Errorf("stage index %d out of range", st.stage)
 	}
 	if st.clock, err = d.F64(); err != nil {
@@ -396,14 +361,14 @@ func decodeRankState(data []byte) (*rankState, error) {
 		return nil, err
 	}
 	if st.hasScaffold {
-		if st.scaffolds, err = decodeScaffolds(d); err != nil {
+		if st.scaffold.Scaffolds, err = decodeScaffolds(d); err != nil {
 			return nil, err
 		}
-		if st.scaffoldLocal, err = decodeScaffolds(d); err != nil {
+		if st.scaffold.Local, err = decodeScaffolds(d); err != nil {
 			return nil, err
 		}
-		for i := range st.scafCounters {
-			if st.scafCounters[i], err = d.Int(); err != nil {
+		for _, v := range scaffoldCounters(&st.scaffold) {
+			if *v, err = d.Int(); err != nil {
 				return nil, err
 			}
 		}
@@ -602,10 +567,6 @@ func loadResume(dir string, reads []seq.Read, cfg Config, ks []int, machine *pga
 		rs.states[p] = *st
 	}
 
-	mode := dist.Distributed
-	if cfg.GatherToAll {
-		mode = dist.Replicated
-	}
 	if rs.states[0].hasContigs {
 		shards := make([][]dbg.Contig, cfg.Ranks)
 		id := 0
@@ -622,7 +583,7 @@ func loadResume(dir string, reads []seq.Read, cfg Config, ks []int, machine *pga
 				id++
 			}
 		}
-		rs.cset = dist.RestoreSet(shards, dbg.Contig.WireSize, mode)
+		rs.cset = dist.RestoreSet(shards, dbg.Contig.WireSize, cfg.contigMode())
 	}
 	if rs.states[0].hasCounts {
 		cm := kmeranalysis.NewCountsMap(machine)

@@ -401,12 +401,21 @@ func TestResumeRefused(t *testing.T) {
 	}
 }
 
+// stageIndex resolves a stage name to its stage-table index.
+func stageIndex(name string) int {
+	i, ok := stageIndexOf(name)
+	if !ok {
+		panic("unknown stage " + name)
+	}
+	return i
+}
+
 // FuzzRankStateDecode drives the per-rank shard decoder over arbitrary
 // bytes: it must never panic, and any input it accepts must re-encode to
 // exactly the accepted bytes (the format is canonical).
 func FuzzRankStateDecode(f *testing.F) {
 	full := rankState{
-		ranks: 3, rank: 1, it: 1, stage: stageIdxAlignment,
+		ranks: 3, rank: 1, it: 1, stage: stageIndex(StageAlignment),
 		clock: 12.375, resident: 4096,
 		reads: []seq.Read{
 			{ID: "pair1/1", Seq: []byte("ACGTACGTA"), Qual: []byte("IIIIIIIII"), LibID: 0, SampleID: 1},
@@ -414,15 +423,15 @@ func FuzzRankStateDecode(f *testing.F) {
 		},
 		readOffset: 2, shippedReadBytes: 96,
 		distinctKmers: 123, heavyHitterMax: 17, alignedFrac: 0.875, localAsmBases: 40, cacheHitRate: 0.5,
-		hasAligns: true,
-		aligns: []aligner.Alignment{{ReadIdx: 2, ReadID: "pair1/1", ContigID: 0, ContigLen: 30, Matches: 9, AlignLen: 9}},
+		hasAligns:  true,
+		aligns:     []aligner.Alignment{{ReadIdx: 2, ReadID: "pair1/1", ContigID: 0, ContigLen: 30, Matches: 9, AlignLen: 9}},
 		hasContigs: true,
-		contigs: []dbg.Contig{{ID: 0, Seq: []byte("ACGTACGTACGT"), Depth: 2.5}},
+		contigs:    []dbg.Contig{{ID: 0, Seq: []byte("ACGTACGTACGT"), Depth: 2.5}},
 	}
 	f.Add(encodeRankState(&full))
 
 	counts := rankState{
-		ranks: 1, rank: 0, it: 0, stage: stageIdxKmerAnalysis,
+		ranks: 1, rank: 0, it: 0, stage: stageIndex(StageKmerAnalysis),
 		clock: 1.5, resident: 128,
 		reads:     []seq.Read{{ID: "r", Seq: []byte("ACGT"), SampleID: 3}},
 		hasCounts: true,
@@ -431,13 +440,16 @@ func FuzzRankStateDecode(f *testing.F) {
 	f.Add(encodeRankState(&counts))
 
 	scaf := rankState{
-		ranks: 2, rank: 0, it: 1, stage: stageIdxScaffolding,
+		ranks: 2, rank: 0, it: 1, stage: stageIndex(StageScaffolding),
 		clock: 99.25, resident: 1 << 20,
 		reads:       []seq.Read{{ID: "r", Seq: []byte("ACGT")}},
 		hasScaffold: true,
-		scaffolds:   []scaffold.Scaffold{{ID: 0, Seq: []byte("ACGTNNNACGT"), ContigIDs: []int{1, 0}, Gaps: 1}},
-		scafCounters: [8]int{1, 2, 3, 4, 5, 6, 7, 8},
-		rounds:       []RoundStats{{Library: "pe", InsertSize: 220, InputContigs: 4, Scaffolds: 2, AcceptedLinks: 3}},
+		scaffold: scaffold.Result{
+			Scaffolds:   []scaffold.Scaffold{{ID: 0, Seq: []byte("ACGTNNNACGT"), ContigIDs: []int{1, 0}, Gaps: 1}},
+			SplintLinks: 1, SpanLinks: 2, AcceptedLinks: 3, RepeatsSuspended: 4,
+			Components: 5, RRNAHits: 6, GapsTotal: 7, GapsClosed: 8,
+		},
+		rounds: []RoundStats{{Library: "pe", InsertSize: 220, InputContigs: 4, Scaffolds: 2, AcceptedLinks: 3}},
 	}
 	f.Add(encodeRankState(&scaf))
 	f.Add([]byte{})

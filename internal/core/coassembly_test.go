@@ -193,7 +193,7 @@ func TestResumeRefusedSampleRetag(t *testing.T) {
 // distinct error instead of mis-decoding the widened read records.
 func TestOldRankStateMagicRefused(t *testing.T) {
 	st := rankState{
-		ranks: 1, rank: 0, it: 0, stage: stageIdxKmerAnalysis,
+		ranks: 1, rank: 0, it: 0, stage: stageIndex(StageKmerAnalysis),
 		clock: 1.5, resident: 64,
 		reads: []seq.Read{{ID: "r/1", Seq: []byte("ACGT"), Qual: []byte("IIII"), SampleID: 1}},
 	}

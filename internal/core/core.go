@@ -388,6 +388,11 @@ func AssembleContext(ctx context.Context, reads []seq.Read, cfg Config) (*Result
 	if len(reads) == 0 {
 		return nil, fmt.Errorf("core: no reads to assemble")
 	}
+	for i := range reads {
+		if err := reads[i].Validate(); err != nil {
+			return nil, fmt.Errorf("core: read %d: %w", i, err)
+		}
+	}
 	if len(cfg.Libraries) > 256 {
 		return nil, fmt.Errorf("core: %d libraries exceed the 256 the uint8 LibID tag can address", len(cfg.Libraries))
 	}
@@ -432,9 +437,13 @@ func AssembleContext(ctx context.Context, reads []seq.Read, cfg Config) (*Result
 	}
 
 	stopWatch := machine.AbortOnCancel(ctx)
-	perRank := make([]rankOutput, cfg.Ranks)
+	// Rank 0's pipeline carries the run's results: the replicated fields are
+	// identical on every rank, and the final emit lands on rank 0.
+	var out *pipeline
 	runRes := machine.Run(func(r *pgas.Rank) {
-		perRank[r.ID()] = runPipeline(r, reads, cfg, ks, ck)
+		if p := runPipeline(r, reads, &cfg, ks, ck); r.ID() == 0 {
+			out = p
+		}
 	})
 	stopWatch()
 	if runRes.Err != nil {
@@ -445,7 +454,7 @@ func AssembleContext(ctx context.Context, reads []seq.Read, cfg Config) (*Result
 			return nil, fmt.Errorf("core: checkpoint write failed: %w", err)
 		}
 	}
-	if perRank[0].failed {
+	if out.failed {
 		return nil, fmt.Errorf("%w: killed after stage %s of iteration %d",
 			ErrFaultInjected, cfg.FailAfterStage, cfg.FailAtIteration)
 	}
@@ -460,53 +469,98 @@ func AssembleContext(ctx context.Context, reads []seq.Read, cfg Config) (*Result
 	res.Stages = runRes.Stages
 	res.Stats = runRes.Stats
 
-	// Merge the per-rank outputs recorded by rank 0 (identical on all ranks
-	// for the replicated fields).
-	out := perRank[0]
+	st := &out.st
 	res.Contigs = out.contigs
-	res.Scaffolds = out.scaffolds
-	res.ScaffoldSummary = out.scaffoldResult
-	res.ScaffoldRounds = out.scaffoldRounds
-	res.DistinctKmers = out.distinctKmers
-	res.HeavyHitterMax = out.heavyHitterMax
-	res.AlignedReadFrac = out.alignedFrac
-	res.LocalAsmBases = out.localAsmBases
-	res.CacheHitRate = out.cacheHitRate
+	res.Scaffolds = st.scaffold.Scaffolds
+	res.ScaffoldSummary = st.scaffold
+	res.ScaffoldRounds = st.rounds
+	res.DistinctKmers = st.distinctKmers
+	res.HeavyHitterMax = st.heavyHitterMax
+	res.AlignedReadFrac = st.alignedFrac
+	res.LocalAsmBases = st.localAsmBases
+	res.CacheHitRate = st.cacheHitRate
 	res.ContigStats = dbg.ComputeStats(res.Contigs)
 	res.ScaffoldStats = scaffold.ComputeStats(res.Scaffolds)
 	return res, nil
 }
 
-// rankOutput carries the results each rank computed out of the SPMD region.
-type rankOutput struct {
-	contigs        []dbg.Contig
-	scaffolds      []scaffold.Scaffold
-	scaffoldResult scaffold.Result
-	scaffoldRounds []RoundStats
-	distinctKmers  int
-	heavyHitterMax int64
-	alignedFrac    float64
-	localAsmBases  int
-	cacheHitRate   float64
+// accumulateScaffoldResult folds one round's counters into the assembly-wide
+// scaffold summary (counters are summed over rounds; the scaffold lists are
+// the final round's).
+func accumulateScaffoldResult(total *scaffold.Result, round scaffold.Result) {
+	sums, adds := scaffoldCounters(total), scaffoldCounters(&round)
+	for i := range sums {
+		*sums[i] += *adds[i]
+	}
+	total.Scaffolds = round.Scaffolds
+	total.Local = round.Local
+}
+
+// scaffoldCounters lists the summary counters of a scaffold.Result in their
+// checkpoint wire order.
+func scaffoldCounters(sr *scaffold.Result) [8]*int {
+	return [8]*int{&sr.SplintLinks, &sr.SpanLinks, &sr.AcceptedLinks, &sr.RepeatsSuspended,
+		&sr.Components, &sr.RRNAHits, &sr.GapsTotal, &sr.GapsClosed}
+}
+
+// contigMode is how the pipeline's distributed contig sets move and account
+// their data.
+func (c Config) contigMode() dist.Mode {
+	if c.GatherToAll {
+		return dist.Replicated
+	}
+	return dist.Distributed
+}
+
+// stage is one row of the pipeline's stage table: its name (the Stage*
+// constant used in timing breakdowns, Progress events and manifest steps)
+// and its body, which receives the iteration's k.
+type stage struct {
+	name string
+	run  func(p *pipeline, k int)
+}
+
+// stages is the pipeline in order (Algorithm 1, then Algorithm 3). A stage's
+// index is its checkpoint identity: a step is (iteration, index), ordered
+// lexicographically. Every row but the last runs once per k; the last,
+// scaffolding, runs once after the k loop under the final iteration's index.
+var stages = [...]stage{
+	{StageKmerAnalysis, (*pipeline).kmerAnalysis},
+	{StageKmerMerge, (*pipeline).kmerMerge},
+	{StageDBGTraversal, (*pipeline).dbgTraversal},
+	{StageContigRefine, (*pipeline).contigRefine},
+	{StageAlignment, (*pipeline).alignment},
+	{StageLocalAssembly, (*pipeline).localAssembly},
+	{StageScaffolding, (*pipeline).scaffolding},
+}
+
+// stageIndexOf resolves a stage name to its index in the stage table.
+func stageIndexOf(name string) (int, bool) {
+	for i, s := range stages {
+		if s.name == name {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// pipeline is one rank's view of a running assembly. st is the rank's live
+// state and, with the header and snapshots filled in, its checkpoint payload;
+// the distributed structures live beside it.
+type pipeline struct {
+	r   *pgas.Rank
+	cfg *Config // shared, read-only
+	ks  []int
+	ck  *ckptRun
+
+	st     rankState
+	cset   *dbg.ContigSet
+	counts *dht.Map[seq.Kmer, seq.KmerCount]
+	// contigs is the final emitted contig list (rank 0 only).
+	contigs []dbg.Contig
 	// failed marks a run killed by Config.FailAfterStage; identical on all
 	// ranks (the kill condition is a pure function of the stage schedule).
 	failed bool
-}
-
-// accumulateScaffoldResult folds one round's counters into the assembly-wide
-// scaffold summary (counters are summed over rounds; the final round's
-// scaffold list is attached by the caller).
-func accumulateScaffoldResult(total *scaffold.Result, round scaffold.Result) {
-	total.SplintLinks += round.SplintLinks
-	total.SpanLinks += round.SpanLinks
-	total.AcceptedLinks += round.AcceptedLinks
-	total.RepeatsSuspended += round.RepeatsSuspended
-	total.Components += round.Components
-	total.RRNAHits += round.RRNAHits
-	total.GapsTotal += round.GapsTotal
-	total.GapsClosed += round.GapsClosed
-	total.Scaffolds = round.Scaffolds
-	total.Local = round.Local
 }
 
 // runPipeline is the SPMD body executed by every rank. ck carries the run's
@@ -514,242 +568,32 @@ func accumulateScaffoldResult(total *scaffold.Result, round scaffold.Result) {
 // stages at or before the resume point are skipped — their effects live in
 // the restored state — and when a checkpoint writer is attached, every
 // completed stage deposits the rank's full surviving state.
-func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg Config, ks []int, ck *ckptRun) rankOutput {
-	var out rankOutput
-
-	mode := dist.Distributed
-	if cfg.GatherToAll {
-		mode = dist.Replicated
-	}
-
+func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg *Config, ks []int, ck *ckptRun) *pipeline {
 	// Initial block distribution of the reads, in whole pairs.
 	lo, hi := r.PairBlockRange(len(allReads))
-	myReads := allReads[lo:hi]
-	readOffset := lo
-
-	var cset *dbg.ContigSet
-	var counts *dht.Map[seq.Kmer, seq.KmerCount]
-	var lastAligns []aligner.Alignment
-	// Resident bytes charged for the current localized read set; released
-	// when the next localization round replaces it.
-	shippedReadBytes := 0
-
+	p := &pipeline{r: r, cfg: cfg, ks: ks, ck: ck, st: rankState{reads: allReads[lo:hi], readOffset: lo}}
 	if ck.resume != nil {
 		// Re-enter the pipeline at the stage after the resume point. The
 		// restored clock and resident meter are the exact bit patterns the
 		// uninterrupted run carried at this boundary, so everything simulated
 		// from here on reproduces it identically.
-		st := &ck.resume.states[r.ID()]
-		myReads = st.reads
-		readOffset = st.readOffset
-		shippedReadBytes = st.shippedReadBytes
-		out.distinctKmers = st.distinctKmers
-		out.heavyHitterMax = st.heavyHitterMax
-		out.alignedFrac = st.alignedFrac
-		out.localAsmBases = st.localAsmBases
-		out.cacheHitRate = st.cacheHitRate
-		if st.hasAligns {
-			lastAligns = st.aligns
-		}
-		cset = ck.resume.cset
-		counts = ck.resume.counts
-		if st.hasScaffold {
-			out.scaffolds = st.scaffolds
-			c := st.scafCounters
-			out.scaffoldResult = scaffold.Result{
-				Scaffolds:        st.scaffolds,
-				Local:            st.scaffoldLocal,
-				SplintLinks:      c[0],
-				SpanLinks:        c[1],
-				AcceptedLinks:    c[2],
-				RepeatsSuspended: c[3],
-				Components:       c[4],
-				RRNAHits:         c[5],
-				GapsTotal:        c[6],
-				GapsClosed:       c[7],
-			}
-			out.scaffoldRounds = st.rounds
-		}
-		r.RestoreState(st.clock, st.resident)
+		p.st = ck.resume.states[r.ID()]
+		p.cset, p.counts = ck.resume.cset, ck.resume.counts
+		r.RestoreState(p.st.clock, p.st.resident)
 	}
 
-	// ckpt deposits this rank's state after stage (it, stage) completed and
-	// reports whether the injected fault fires here. It runs between the
-	// stage-end barrier and the next collective, using only out-of-band Go
-	// synchronization: checkpoint I/O must never advance the simulated
-	// clocks, or a checkpointed run would diverge from an uncheckpointed one.
-	ckpt := func(it, stage, k int) (failNow bool) {
-		if ck.writer != nil {
-			st := rankState{
-				ranks:            r.NRanks(),
-				rank:             r.ID(),
-				it:               it,
-				stage:            stage,
-				clock:            r.Clock(),
-				resident:         r.Resident(),
-				reads:            myReads,
-				readOffset:       readOffset,
-				shippedReadBytes: shippedReadBytes,
-				distinctKmers:    out.distinctKmers,
-				heavyHitterMax:   out.heavyHitterMax,
-				alignedFrac:      out.alignedFrac,
-				localAsmBases:    out.localAsmBases,
-				cacheHitRate:     out.cacheHitRate,
+	final := len(stages) - 1
+	finalIt := len(ks) - 1
+	for it := range ks {
+		for i, s := range stages[:final] {
+			// The k-mer merge needs a previous iteration's contigs; local
+			// assembly is an optional stage.
+			if s.name == StageKmerMerge && (it == 0 || p.cset == nil) ||
+				s.name == StageLocalAssembly && !cfg.LocalAssembly {
+				continue
 			}
-			// Alignments are serialized only at boundaries where a later
-			// stage still consumes them: local assembly in the same
-			// iteration, or read localization at the iteration end.
-			switch stage {
-			case stageIdxAlignment:
-				st.hasAligns = cfg.LocalAssembly || (cfg.ReadLocalization && it < len(ks)-1)
-			case stageIdxLocalAssembly:
-				st.hasAligns = cfg.ReadLocalization && it < len(ks)-1
-			}
-			if st.hasAligns {
-				st.aligns = lastAligns
-			}
-			if cset != nil {
-				st.hasContigs = true
-				st.contigs = cset.Local(r)
-			}
-			if counts != nil {
-				st.hasCounts = true
-				st.counts = collectCounts(counts, r.ID())
-			}
-			if stage == stageIdxScaffolding {
-				st.hasScaffold = true
-				st.scaffolds = out.scaffolds
-				st.scaffoldLocal = out.scaffoldResult.Local
-				sr := &out.scaffoldResult
-				st.scafCounters = [8]int{
-					sr.SplintLinks, sr.SpanLinks, sr.AcceptedLinks, sr.RepeatsSuspended,
-					sr.Components, sr.RRNAHits, sr.GapsTotal, sr.GapsClosed,
-				}
-				st.rounds = out.scaffoldRounds
-			}
-			ck.writer.record(r, it, stageNames[stage], k, encodeRankState(&st))
-		}
-		if cfg.FailAfterStage == stageNames[stage] && cfg.FailAtIteration == it {
-			out.failed = true
-			return true
-		}
-		return false
-	}
-
-	for it, k := range ks {
-		// Stage 1: k-mer analysis.
-		if !ck.done(it, stageIdxKmerAnalysis) {
-			st := r.StageStart()
-			kopts := kmeranalysis.DefaultOptions(k)
-			kopts.MinCount = cfg.MinKmerCount
-			kopts.UseBloom = cfg.UseBloom
-			kopts.Aggregate = cfg.Aggregate
-			kares := kmeranalysis.Run(r, myReads, kopts, nil)
-			counts = kares.Counts
-			out.distinctKmers = kares.DistinctKmers
-			if len(kares.HeavyHitters) > 0 && kares.HeavyHitters[0].Count > out.heavyHitterMax {
-				out.heavyHitterMax = kares.HeavyHitters[0].Count
-			}
-			r.StageEnd(StageKmerAnalysis, st)
-			reportProgress(r, cfg, StageKmerAnalysis, it, k)
-			if ckpt(it, stageIdxKmerAnalysis, k) {
-				return out
-			}
-		}
-
-		// Stage 1b: merge the previous iteration's contig k-mers (Section
-		// II-H) so low-coverage organisms keep their assembled regions. The
-		// contigs are owner-distributed, so each rank merges its own shard.
-		if it > 0 && cset != nil && !ck.done(it, stageIdxKmerMerge) {
-			st := r.StageStart()
-			var seqs [][]byte
-			cset.ForEachLocal(r, func(_ int, c dbg.Contig) { seqs = append(seqs, c.Seq) })
-			kmeranalysis.MergeContigKmers(r, counts, seqs, k, cfg.MinKmerCount+1)
-			r.StageEnd(StageKmerMerge, st)
-			reportProgress(r, cfg, StageKmerMerge, it, k)
-			if ckpt(it, stageIdxKmerMerge, k) {
-				return out
-			}
-		}
-
-		// Stage 2: de Bruijn graph construction and traversal. The emitted
-		// contigs are routed to their content-hash owners and renumbered
-		// with an exclusive scan; the previous iteration's set is released.
-		if !ck.done(it, stageIdxDBGTraversal) {
-			st := r.StageStart()
-			topts := dbg.ThresholdOptions{TBase: cfg.TBase, ErrorRate: cfg.ErrorRate, GlobalTHQ: cfg.GlobalTHQ, MinCount: 1}
-			graph := dbg.Build(r, counts, k, topts)
-			local := dbg.Traverse(r, graph, dbg.TraverseOptions{})
-			next := dbg.DistributeContigs(r, local, mode)
-			if cset != nil {
-				cset.Release(r)
-			}
-			cset = next
-			// The counts table is consumed by graph construction; the next
-			// iteration builds a fresh one, so it leaves the checkpoint state.
-			counts = nil
-			r.StageEnd(StageDBGTraversal, st)
-			reportProgress(r, cfg, StageDBGTraversal, it, k)
-			if ckpt(it, stageIdxDBGTraversal, k) {
-				return out
-			}
-		}
-
-		// Stages 3-4: bubble merging, hair removal, iterative pruning,
-		// chain compaction (all on the distributed set).
-		if !ck.done(it, stageIdxContigRefine) {
-			st := r.StageStart()
-			copts := cgraph.DefaultOptions(k)
-			copts.MergeBubbles = cfg.BubbleMerging
-			copts.RemoveHair = cfg.HairRemoval
-			copts.Prune = cfg.Pruning
-			copts.Compact = cfg.Compaction
-			copts.Aggregate = cfg.Aggregate
-			refined := cgraph.Refine(r, cset, copts)
-			cset = refined.Set
-			r.StageEnd(StageContigRefine, st)
-			reportProgress(r, cfg, StageContigRefine, it, k)
-			if ckpt(it, stageIdxContigRefine, k) {
-				return out
-			}
-		}
-
-		// Stage 5: read-to-contig alignment.
-		if !ck.done(it, stageIdxAlignment) {
-			st := r.StageStart()
-			aopts := aligner.DefaultOptions(minInt(k, 31))
-			aopts.UseCache = cfg.SoftwareCache
-			idx := aligner.BuildIndex(r, cset, aopts)
-			aligns, astats := aligner.AlignReads(r, idx, myReads, readOffset, aopts)
-			lastAligns = aligns
-			alignedLocal := int64(astats.ReadsAligned)
-			totalLocal := int64(astats.ReadsTotal)
-			alignedAll := pgas.AllReduce(r, alignedLocal, pgas.ReduceSum)
-			totalAll := pgas.AllReduce(r, totalLocal, pgas.ReduceSum)
-			if totalAll > 0 {
-				out.alignedFrac = float64(alignedAll) / float64(totalAll)
-			}
-			out.cacheHitRate = astats.CacheHitRate
-			r.StageEnd(StageAlignment, st)
-			reportProgress(r, cfg, StageAlignment, it, k)
-			if ckpt(it, stageIdxAlignment, k) {
-				return out
-			}
-		}
-
-		// Stage 6: local assembly (mer-walking with work sharing); the
-		// extensions are applied owner-side in place.
-		if cfg.LocalAssembly && !ck.done(it, stageIdxLocalAssembly) {
-			st := r.StageStart()
-			lopts := localasm.DefaultOptions(k)
-			lopts.WorkStealing = cfg.WorkStealing
-			lopts.Libraries = cfg.Libraries
-			lres := localasm.Run(r, cset, myReads, readOffset, lastAligns, lopts)
-			out.localAsmBases = lres.ExtendedBases
-			r.StageEnd(StageLocalAssembly, st)
-			reportProgress(r, cfg, StageLocalAssembly, it, k)
-			if ckpt(it, stageIdxLocalAssembly, k) {
-				return out
+			if p.runStage(it, i) {
+				return p
 			}
 		}
 
@@ -758,126 +602,253 @@ func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg Config, ks []int, ck *ck
 		// rank that owns the contig. Not a checkpointed stage: a resume into
 		// the next iteration carries the localized reads in its restored
 		// state, and a resume at this iteration's last stage replays the
-		// exchange deterministically from the restored alignments.
-		if cfg.ReadLocalization && it < len(ks)-1 && !ck.done(it+1, stageIdxKmerAnalysis) {
+		// exchange deterministically from the restored alignments. (Stage
+		// 0 of iteration it+1 is the next iteration's first stage.)
+		if cfg.ReadLocalization && it < finalIt && !ck.done(it+1, 0) {
 			// The previous round's shipped reads are superseded by this
 			// exchange: return their resident charge before re-charging.
-			r.ReleaseResident(shippedReadBytes)
-			myReads, readOffset, shippedReadBytes = localizePairs(r, cset, myReads, readOffset, lastAligns)
-			lastAligns = nil
+			r.ReleaseResident(p.st.shippedReadBytes)
+			p.st.reads, p.st.readOffset, p.st.shippedReadBytes = localizePairs(r, p.cset, p.st.reads, p.st.readOffset, p.st.aligns)
+			p.st.aligns = nil
 		}
 	}
-
-	finalIt := len(ks) - 1
 
 	// Drop short contigs shard-locally and re-densify the IDs. Skipped on a
 	// resume past the scaffolding checkpoint: the restored set is already
 	// filtered (the scaffolding stage consumed it).
-	if cfg.MinContigLen > 0 && !ck.done(finalIt, stageIdxScaffolding) {
-		cset.FilterLocal(r, func(c dbg.Contig) bool { return len(c.Seq) >= cfg.MinContigLen })
-		dbg.RenumberContigs(r, cset)
+	if cfg.MinContigLen > 0 && !ck.done(finalIt, final) {
+		p.cset.FilterLocal(r, func(c dbg.Contig) bool { return len(c.Seq) >= cfg.MinContigLen })
+		dbg.RenumberContigs(r, p.cset)
 	}
+	if cfg.Scaffolding && p.runStage(finalIt, final) {
+		return p
+	}
+	p.emit()
+	return p
+}
 
-	// Scaffolding (Algorithm 3), one round per library in ascending
-	// insert-size order. Each round aligns its own library's reads (by the
-	// LibID tag) against the current contig set; an intermediate round's
-	// scaffolds are spliced back in as the next round's contigs
-	// (content-hash deduplicated, canonically owned), so longer-insert
-	// libraries link the structures the shorter ones built.
-	// With one library the loop degenerates to exactly the legacy
-	// single-round flow.
-	if cfg.Scaffolding && !ck.done(finalIt, stageIdxScaffolding) {
-		st := r.StageStart()
-		finalK := ks[len(ks)-1]
-		order := scaffoldOrder(cfg.Libraries)
-		for ri, li := range order {
-			lib := cfg.Libraries[li]
-			inputContigs := cset.GlobalLen(r)
-			aopts := aligner.DefaultOptions(minInt(finalK, 31))
-			aopts.UseCache = cfg.SoftwareCache
-			if len(order) > 1 {
-				// Align only this round's library: the other libraries'
-				// alignments would be discarded, and alignment is
-				// independent per read, so the restriction changes charged
-				// work but never output.
-				roundLib := uint8(li)
-				aopts.OnlyLib = &roundLib
-			}
-			idx := aligner.BuildIndex(r, cset, aopts)
-			aligns, _ := aligner.AlignReads(r, idx, myReads, readOffset, aopts)
-			sopts := scaffold.DefaultOptions(finalK, lib.InsertSize)
-			if lib.InsertStd > 0 {
-				sopts.InsertStd = lib.InsertStd
-			}
-			sopts.Aggregate = cfg.Aggregate
-			sopts.UseComponents = cfg.UseComponents
-			sopts.RRNAProfile = cfg.RRNAProfile
-			last := ri == len(order)-1
-			sopts.SkipEmit = !last
-			sres := scaffold.Run(r, cset, myReads, readOffset, aligns, sopts)
-			nScaffolds := pgas.AllReduce(r, len(sres.Local), pgas.ReduceSum)
-			out.scaffoldRounds = append(out.scaffoldRounds, RoundStats{
-				Library:       lib.Name,
-				LibIndex:      li,
-				InsertSize:    lib.InsertSize,
-				InputContigs:  inputContigs,
-				Scaffolds:     nScaffolds,
-				AcceptedLinks: sres.AcceptedLinks,
-			})
-			accumulateScaffoldResult(&out.scaffoldResult, sres)
-			if last {
-				out.scaffolds = sres.Scaffolds
-				break
-			}
-			// Splice this round's scaffolds back in as the next round's
-			// contigs. The scaffold sequences are fresh buffers independent
-			// of the old set's storage, so the replaced set's resident bytes
-			// are returned before the exchange materializes the new one —
-			// the peak meter never holds both contig generations at once.
-			local := make([]dbg.Contig, 0, len(sres.Local))
-			for _, s := range sres.Local {
-				local = append(local, dbg.Contig{Seq: s.Seq})
-			}
-			cset.Release(r)
-			cset = dbg.DistributeContigs(r, local, mode)
-		}
-		r.StageEnd(StageScaffolding, st)
-		reportProgress(r, cfg, StageScaffolding, finalIt, ks[finalIt])
-		if ckpt(finalIt, stageIdxScaffolding, ks[finalIt]) {
-			return out
-		}
+// runStage runs stage i of iteration it unless the resume point already
+// covers it, and reports whether an injected fault killed the run there. It
+// is the one wrapper every stage runs inside: simulated stage timing, the
+// Progress event, the checkpoint deposit and the FailAfterStage check.
+func (p *pipeline) runStage(it, i int) (failed bool) {
+	if p.ck.done(it, i) {
+		return false
 	}
+	name, k := stages[i].name, p.ks[it]
+	start := p.r.StageStart()
+	stages[i].run(p, k)
+	p.r.StageEnd(name, start)
+	reportProgress(p.r, p.cfg, name, it, k)
+	if p.ck.writer != nil {
+		p.ck.writer.record(p.r, it, name, k, encodeRankState(p.snapshot(it, i)))
+	}
+	p.failed = p.cfg.FailAfterStage == name && p.cfg.FailAtIteration == it
+	return p.failed
+}
 
-	// Final output: one rank-ordered emit onto rank 0, which sorts into the
-	// deterministic global order and renumbers. The scaffolds recorded the
-	// distributed set's internal IDs, so their member lists are remapped to
-	// the emitted numbering — Scaffold.ContigIDs must keep indexing
-	// Result.Contigs. Every other rank reports nil.
-	emitted := cset.Emit(r)
-	if emitted != nil {
-		order := make([]int, len(emitted))
-		for i := range order {
-			order[i] = i
-		}
-		sortContigOrder(emitted, order)
-		idMap := make(map[int]int, len(emitted))
-		sorted := make([]dbg.Contig, len(emitted))
-		for newID, oldIdx := range order {
-			c := emitted[oldIdx]
-			idMap[c.ID] = newID
-			c.ID = newID
-			sorted[newID] = c
-		}
-		for si := range out.scaffolds {
-			ids := out.scaffolds[si].ContigIDs
-			for i, id := range ids {
-				ids[i] = idMap[id]
-			}
-		}
-		out.contigs = sorted
-		r.Compute(float64(len(sorted)))
+// snapshot returns the rank's checkpoint payload after stage i of iteration
+// it: a copy of the live state with the header, presence flags and the
+// distributed structures' local shards filled in. It runs between the
+// stage-end barrier and the next collective and charges nothing: checkpoint
+// I/O must never advance the simulated clocks, or a checkpointed run would
+// diverge from an uncheckpointed one.
+func (p *pipeline) snapshot(it, i int) *rankState {
+	st := p.st
+	st.ranks, st.rank, st.it, st.stage = p.r.NRanks(), p.r.ID(), it, i
+	st.clock, st.resident = p.r.Clock(), p.r.Resident()
+	// Alignments are serialized only at boundaries where a later stage still
+	// consumes them: local assembly in the same iteration, or read
+	// localization at the iteration end.
+	localizes := p.cfg.ReadLocalization && it < len(p.ks)-1
+	st.hasAligns = false
+	switch stages[i].name {
+	case StageAlignment:
+		st.hasAligns = p.cfg.LocalAssembly || localizes
+	case StageLocalAssembly:
+		st.hasAligns = localizes
 	}
-	return out
+	st.hasContigs, st.contigs = p.cset != nil, nil
+	if st.hasContigs {
+		st.contigs = p.cset.Local(p.r)
+	}
+	st.hasCounts, st.counts = p.counts != nil, nil
+	if st.hasCounts {
+		st.counts = collectCounts(p.counts, p.r.ID())
+	}
+	st.hasScaffold = stages[i].name == StageScaffolding
+	return &st
+}
+
+// kmerAnalysis counts the reads' k-mers (stage 1).
+func (p *pipeline) kmerAnalysis(k int) {
+	opts := kmeranalysis.DefaultOptions(k)
+	opts.MinCount = p.cfg.MinKmerCount
+	opts.UseBloom = p.cfg.UseBloom
+	opts.Aggregate = p.cfg.Aggregate
+	res := kmeranalysis.Run(p.r, p.st.reads, opts, nil)
+	p.counts = res.Counts
+	p.st.distinctKmers = res.DistinctKmers
+	if len(res.HeavyHitters) > 0 && res.HeavyHitters[0].Count > p.st.heavyHitterMax {
+		p.st.heavyHitterMax = res.HeavyHitters[0].Count
+	}
+}
+
+// kmerMerge merges the previous iteration's contig k-mers (stage 1b, Section
+// II-H) so low-coverage organisms keep their assembled regions. The contigs
+// are owner-distributed, so each rank merges its own shard.
+func (p *pipeline) kmerMerge(k int) {
+	var seqs [][]byte
+	p.cset.ForEachLocal(p.r, func(_ int, c dbg.Contig) { seqs = append(seqs, c.Seq) })
+	kmeranalysis.MergeContigKmers(p.r, p.counts, seqs, k, p.cfg.MinKmerCount+1)
+}
+
+// dbgTraversal builds and traverses the de Bruijn graph (stage 2). The
+// emitted contigs are routed to their content-hash owners and renumbered
+// with an exclusive scan; the previous iteration's set is released.
+func (p *pipeline) dbgTraversal(k int) {
+	topts := dbg.ThresholdOptions{TBase: p.cfg.TBase, ErrorRate: p.cfg.ErrorRate, GlobalTHQ: p.cfg.GlobalTHQ, MinCount: 1}
+	graph := dbg.Build(p.r, p.counts, k, topts)
+	local := dbg.Traverse(p.r, graph, dbg.TraverseOptions{})
+	next := dbg.DistributeContigs(p.r, local, p.cfg.contigMode())
+	if p.cset != nil {
+		p.cset.Release(p.r)
+	}
+	p.cset = next
+	// The counts table is consumed by graph construction; the next
+	// iteration builds a fresh one, so it leaves the checkpoint state.
+	p.counts = nil
+}
+
+// contigRefine runs bubble merging, hair removal, iterative pruning and
+// chain compaction on the distributed set (stages 3-4).
+func (p *pipeline) contigRefine(k int) {
+	opts := cgraph.DefaultOptions(k)
+	opts.MergeBubbles = p.cfg.BubbleMerging
+	opts.RemoveHair = p.cfg.HairRemoval
+	opts.Prune = p.cfg.Pruning
+	opts.Compact = p.cfg.Compaction
+	opts.Aggregate = p.cfg.Aggregate
+	p.cset = cgraph.Refine(p.r, p.cset, opts).Set
+}
+
+// alignment aligns the rank's reads to the contigs (stage 5).
+func (p *pipeline) alignment(k int) {
+	opts := aligner.DefaultOptions(min(k, 31))
+	opts.UseCache = p.cfg.SoftwareCache
+	idx := aligner.BuildIndex(p.r, p.cset, opts)
+	aligns, astats := aligner.AlignReads(p.r, idx, p.st.reads, p.st.readOffset, opts)
+	p.st.aligns = aligns
+	alignedAll := pgas.AllReduce(p.r, int64(astats.ReadsAligned), pgas.ReduceSum)
+	totalAll := pgas.AllReduce(p.r, int64(astats.ReadsTotal), pgas.ReduceSum)
+	if totalAll > 0 {
+		p.st.alignedFrac = float64(alignedAll) / float64(totalAll)
+	}
+	p.st.cacheHitRate = astats.CacheHitRate
+}
+
+// localAssembly extends contigs by mer-walking with work sharing (stage 6);
+// the extensions are applied owner-side in place.
+func (p *pipeline) localAssembly(k int) {
+	opts := localasm.DefaultOptions(k)
+	opts.WorkStealing = p.cfg.WorkStealing
+	opts.Libraries = p.cfg.Libraries
+	res := localasm.Run(p.r, p.cset, p.st.reads, p.st.readOffset, p.st.aligns, opts)
+	p.st.localAsmBases = res.ExtendedBases
+}
+
+// scaffolding runs Algorithm 3, one round per library in ascending
+// insert-size order. Each round aligns its own library's reads (by the
+// LibID tag) against the current contig set; an intermediate round's
+// scaffolds are spliced back in as the next round's contigs (content-hash
+// deduplicated, canonically owned), so longer-insert libraries link the
+// structures the shorter ones built. With one library the loop degenerates
+// to exactly the legacy single-round flow.
+func (p *pipeline) scaffolding(k int) {
+	r, cfg := p.r, p.cfg
+	order := scaffoldOrder(cfg.Libraries)
+	for ri, li := range order {
+		lib := cfg.Libraries[li]
+		inputContigs := p.cset.GlobalLen(r)
+		aopts := aligner.DefaultOptions(min(k, 31))
+		aopts.UseCache = cfg.SoftwareCache
+		if len(order) > 1 {
+			// Align only this round's library: the other libraries'
+			// alignments would be discarded, and alignment is independent
+			// per read, so the restriction changes charged work but never
+			// output.
+			roundLib := uint8(li)
+			aopts.OnlyLib = &roundLib
+		}
+		idx := aligner.BuildIndex(r, p.cset, aopts)
+		aligns, _ := aligner.AlignReads(r, idx, p.st.reads, p.st.readOffset, aopts)
+		sopts := scaffold.DefaultOptions(k, lib.InsertSize)
+		if lib.InsertStd > 0 {
+			sopts.InsertStd = lib.InsertStd
+		}
+		sopts.Aggregate = cfg.Aggregate
+		sopts.UseComponents = cfg.UseComponents
+		sopts.RRNAProfile = cfg.RRNAProfile
+		last := ri == len(order)-1
+		sopts.SkipEmit = !last
+		sres := scaffold.Run(r, p.cset, p.st.reads, p.st.readOffset, aligns, sopts)
+		nScaffolds := pgas.AllReduce(r, len(sres.Local), pgas.ReduceSum)
+		p.st.rounds = append(p.st.rounds, RoundStats{
+			Library:       lib.Name,
+			LibIndex:      li,
+			InsertSize:    lib.InsertSize,
+			InputContigs:  inputContigs,
+			Scaffolds:     nScaffolds,
+			AcceptedLinks: sres.AcceptedLinks,
+		})
+		accumulateScaffoldResult(&p.st.scaffold, sres)
+		if last {
+			break
+		}
+		// Splice this round's scaffolds back in as the next round's contigs.
+		// The scaffold sequences are fresh buffers independent of the old
+		// set's storage, so the replaced set's resident bytes are returned
+		// before the exchange materializes the new one — the peak meter
+		// never holds both contig generations at once.
+		local := make([]dbg.Contig, 0, len(sres.Local))
+		for _, s := range sres.Local {
+			local = append(local, dbg.Contig{Seq: s.Seq})
+		}
+		p.cset.Release(r)
+		p.cset = dbg.DistributeContigs(r, local, cfg.contigMode())
+	}
+}
+
+// emit produces the final output: one rank-ordered emit onto rank 0, which
+// sorts into the deterministic global order and renumbers. The scaffolds
+// recorded the distributed set's internal IDs, so their member lists are
+// remapped to the emitted numbering — Scaffold.ContigIDs must keep indexing
+// Result.Contigs. Every other rank keeps nil.
+func (p *pipeline) emit() {
+	emitted := p.cset.Emit(p.r)
+	if emitted == nil {
+		return
+	}
+	order := make([]int, len(emitted))
+	for i := range order {
+		order[i] = i
+	}
+	sortContigOrder(emitted, order)
+	idMap := make(map[int]int, len(emitted))
+	sorted := make([]dbg.Contig, len(emitted))
+	for newID, oldIdx := range order {
+		c := emitted[oldIdx]
+		idMap[c.ID] = newID
+		c.ID = newID
+		sorted[newID] = c
+	}
+	for _, sc := range p.st.scaffold.Scaffolds {
+		for i, id := range sc.ContigIDs {
+			sc.ContigIDs[i] = idMap[id]
+		}
+	}
+	p.contigs = sorted
+	p.r.Compute(float64(len(sorted)))
 }
 
 // reportProgress delivers a stage-completion event to the Progress hook.
@@ -885,7 +856,7 @@ func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg Config, ks []int, ck *ck
 // every rank's clock, so rank 0's view is canonical — and the callback runs
 // outside simulated time: nothing is charged, so an observed run stays
 // bit-identical to an unobserved one.
-func reportProgress(r *pgas.Rank, cfg Config, stage string, it, k int) {
+func reportProgress(r *pgas.Rank, cfg *Config, stage string, it, k int) {
 	if cfg.Progress == nil || r.ID() != 0 {
 		return
 	}
@@ -963,10 +934,3 @@ type pairMsg struct {
 
 // WireSize returns the wire bytes of one shipped pair.
 func (pm pairMsg) WireSize() int { return pm.R1.WireSize() + pm.R2.WireSize() + 8 }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

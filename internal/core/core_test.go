@@ -1,10 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
+	"mhmgo/internal/aligner"
+	"mhmgo/internal/dbg"
+	"mhmgo/internal/dist"
 	"mhmgo/internal/eval"
 	"mhmgo/internal/hmm"
+	"mhmgo/internal/pgas"
 	"mhmgo/internal/seq"
 	"mhmgo/internal/sim"
 )
@@ -70,6 +77,25 @@ func TestAssembleErrors(t *testing.T) {
 	cfg.KMin, cfg.KMax = 200, 300
 	if _, err := Assemble([]seq.Read{{ID: "r", Seq: []byte("ACGT")}}, cfg); err == nil {
 		t.Error("k out of range should fail")
+	}
+
+	// Malformed reads are refused at the boundary, naming index and ID.
+	good := seq.Read{ID: "ok", Seq: []byte("ACGTACGT"), Qual: []byte("IIIIIIII")}
+	for _, tc := range []struct {
+		name string
+		bad  seq.Read
+	}{
+		{"empty sequence", seq.Read{ID: "empty"}},
+		{"short quality", seq.Read{ID: "shortq", Seq: []byte("ACGTACGT"), Qual: []byte("IIII")}},
+	} {
+		_, err := Assemble([]seq.Read{good, tc.bad}, DefaultConfig(2))
+		if err == nil {
+			t.Errorf("%s: malformed read accepted", tc.name)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "read 1") || !strings.Contains(msg, tc.bad.ID) {
+			t.Errorf("%s: error %q does not name read index 1 and ID %q", tc.name, msg, tc.bad.ID)
+		}
 	}
 }
 
@@ -247,5 +273,75 @@ func TestMinContigLenFilter(t *testing.T) {
 		if len(c.Seq) < 500 {
 			t.Errorf("contig of length %d survived the MinContigLen filter", len(c.Seq))
 		}
+	}
+}
+
+// TestLocalizePairsGroupsByContig pins read localization (Section II-I):
+// every aligned pair lands on the rank owning its contig with its mates
+// adjacent, the unaligned pair stays in the pipeline, no read is lost, and
+// the returned offsets are the exclusive prefix sums of the new shard sizes.
+func TestLocalizePairsGroupsByContig(t *testing.T) {
+	contigs := []dbg.Contig{
+		{Seq: []byte("ACGTTGCAAGCTTACGGATCCGTAAACTGGTCCATTGGCAACGGTATTCCAGGAATTCACAGG"), Depth: 20},
+		{Seq: []byte("TTGGCCAATCGGATTACCGGTTAAGGCCTTGACCGGTATGCCAGTTGGAACCTT"), Depth: 15},
+	}
+	var reads []seq.Read
+	for ci, c := range contigs {
+		for i := 0; i+50 <= len(c.Seq); i += 4 {
+			id := fmt.Sprintf("c%d.%d", ci, i)
+			reads = append(reads,
+				seq.Read{ID: id + "/1", Seq: c.Seq[i : i+40]},
+				seq.Read{ID: id + "/2", Seq: seq.ReverseComplement(c.Seq[i+10 : i+50])})
+		}
+	}
+	junk := []byte(strings.Repeat("ACAC", 10))
+	reads = append(reads, seq.Read{ID: "junk/1", Seq: junk}, seq.Read{ID: "junk/2", Seq: junk})
+
+	const ranks = 4
+	var got [ranks][]seq.Read
+	var offsets [ranks]int
+	owner := map[string]int{}
+	m := pgas.NewMachine(pgas.Config{Ranks: ranks})
+	m.Run(func(r *pgas.Rank) {
+		lo, hi := r.BlockRange(len(contigs))
+		cs := dbg.DistributeContigs(r, contigs[lo:hi], dist.Distributed)
+		opts := aligner.DefaultOptions(15)
+		idx := aligner.BuildIndex(r, cs, opts)
+		plo, phi := r.PairBlockRange(len(reads))
+		aligns, _ := aligner.AlignReads(r, idx, reads[plo:phi], plo, opts)
+		got[r.ID()], offsets[r.ID()], _ = localizePairs(r, cs, reads[plo:phi], plo, aligns)
+		n := cs.GlobalLen(r) // collective: every rank calls it
+		for id := 0; r.ID() == 0 && id < n; id++ {
+			c := cs.GetByID(r, id)
+			for ci := range contigs {
+				if bytes.Equal(c.Seq, contigs[ci].Seq) {
+					owner[fmt.Sprintf("c%d", ci)] = cs.RankOfID(id)
+				}
+			}
+		}
+	})
+
+	if len(owner) != len(contigs) {
+		t.Fatalf("contig owners %v, want one per contig", owner)
+	}
+	total, wantOffset := 0, 0
+	for rank, rds := range got {
+		if offsets[rank] != wantOffset {
+			t.Errorf("rank %d offset %d, want exclusive prefix sum %d", rank, offsets[rank], wantOffset)
+		}
+		wantOffset += len(rds)
+		for i := 0; i+1 < len(rds); i += 2 {
+			pair, _, _ := strings.Cut(rds[i].ID, "/")
+			if rds[i+1].ID != pair+"/2" {
+				t.Errorf("rank %d: mates of %s not adjacent (next is %s)", rank, rds[i].ID, rds[i+1].ID)
+			}
+			if src, _, _ := strings.Cut(pair, "."); src != "junk" && owner[src] != rank {
+				t.Errorf("rank %d holds pair %s whose contig is owned by rank %d", rank, pair, owner[src])
+			}
+		}
+		total += len(rds)
+	}
+	if total != len(reads) {
+		t.Errorf("localization kept %d reads, want %d", total, len(reads))
 	}
 }

@@ -114,7 +114,7 @@ func mg64Dataset(s Scale) (*sim.Community, []seq.Read, *hmm.Profile) {
 		RRNACopies:     1,
 		RRNADivergence: 0.03,
 		RepeatLen:      200,
-		RepeatCopies:   minInt(6, s.Genomes/4),
+		RepeatCopies:   min(6, s.Genomes/4),
 		StrainFraction: 0.08,
 		StrainSNPRate:  0.01,
 		Seed:           s.Seed,
@@ -144,13 +144,6 @@ func wetlandsDataset(s Scale, organisms int, coverage float64, seed int64) (*sim
 		Seed:       seed + 1,
 	})
 	return comm, reads
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------------
@@ -459,7 +452,7 @@ func Table2WeakScaling(s Scale) WeakScalingResult {
 	// Read pairs per taxon chosen so that coverage stays constant as the
 	// community grows with the node count (the definition of weak scaling).
 	pairsPerTaxon := s.GenomeLen * int(s.Coverage) / 200
-	series := sim.WeakScalingSeries(128/maxInt(1, s.NodeCounts[0]), pairsPerTaxon)
+	series := sim.WeakScalingSeries(128/max(1, s.NodeCounts[0]), pairsPerTaxon)
 	var out WeakScalingResult
 	for _, p := range series {
 		comm := sim.GenerateCommunity(sim.CommunityConfig{
@@ -497,13 +490,6 @@ func Table2WeakScaling(s Scale) WeakScalingResult {
 		out.Efficiency = out.Rows[len(out.Rows)-1].KBasesPerSecPN / out.Rows[0].KBasesPerSecPN
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------------

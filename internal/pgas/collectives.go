@@ -474,42 +474,29 @@ func Broadcast[T any](r *Rank, x T) T {
 	return out
 }
 
-// AllToAll exchanges one slice per destination rank. outgoing must have
+// AllToAllV exchanges one slice per destination rank. outgoing must have
 // exactly NRanks entries; entry d is delivered to rank d. The returned slice
 // has NRanks entries where entry s is the slice this rank received from rank
-// s. A personalized exchange has no tree shortcut — every pair must move its
-// own data — so costs are charged per non-empty destination batch
-// (aggregated messages), and received batches are accounted to
+// s. sizeOf reports the wire bytes of one item. A personalized exchange has
+// no tree shortcut — every pair must move its own data — so costs are
+// charged per non-empty destination batch (aggregated messages) at its
+// actual payload bytes, and received batches are accounted to
 // BytesReceived. Callers that do not need the dense [][]T view should prefer
 // ExchangeFunc, which never materializes O(P) per-rank scratch.
-func AllToAll[T any](r *Rank, outgoing [][]T, bytesPerItem int) [][]T {
-	return allToAll(r, outgoing, func(batch []T) int { return len(batch) * bytesPerItem })
-}
-
-// AllToAllV is AllToAll for items with variable wire sizes: sizeOf reports
-// the wire bytes of one item, and each non-empty destination batch is charged
-// its actual payload bytes.
 func AllToAllV[T any](r *Rank, outgoing [][]T, sizeOf func(T) int) [][]T {
-	return allToAll(r, outgoing, func(batch []T) int {
-		total := 0
-		for _, it := range batch {
-			total += sizeOf(it)
-		}
-		return total
-	})
-}
-
-func allToAll[T any](r *Rank, outgoing [][]T, batchBytes func([]T) int) [][]T {
 	m := r.machine
 	if len(outgoing) != m.cfg.Ranks {
-		panic(fmt.Sprintf("pgas: AllToAll outgoing has %d entries, want %d", len(outgoing), m.cfg.Ranks))
+		panic(fmt.Sprintf("pgas: AllToAllV outgoing has %d entries, want %d", len(outgoing), m.cfg.Ranks))
 	}
 	// The dense exchange deposits every batch — empty and nil included — so
 	// incoming[s] is exactly what rank s put in outgoing (historical
 	// contract some callers rely on). Sparse patterns should use
 	// ExchangeFunc, which skips empties.
 	for dest, batch := range outgoing {
-		b := batchBytes(batch)
+		b := 0
+		for _, it := range batch {
+			b += sizeOf(it)
+		}
 		m.inboxes[dest].put(r.id, batch, b)
 		if len(batch) > 0 && dest != r.id {
 			r.ChargeSend(dest, b, 1)
@@ -536,7 +523,7 @@ func allToAll[T any](r *Rank, outgoing [][]T, batchBytes func([]T) int) [][]T {
 // order the dense AllToAllV-then-flatten idiom produced. sizeOf reports one
 // item's wire bytes.
 //
-// Unlike AllToAll it never materializes O(P) scratch on the caller: grouping
+// Unlike AllToAllV it never materializes O(P) scratch on the caller: grouping
 // is a stable sort of the item indices by destination, each batch is a
 // subslice of one routed copy, and only non-empty batches are deposited, so
 // a rank talking to d destinations costs O(items + d), independent of P.
@@ -581,7 +568,7 @@ func ExchangeFunc[T any](r *Rank, items []T, destOf func(i int, item T) int, siz
 	r.drainInbox(func(src int, payload any, bytes int) {
 		merged = append(merged, payload.([]T)...)
 	})
-	// Match the dense exchange's three-barrier epoch; see allToAll.
+	// Match the dense exchange's three-barrier epoch; see AllToAllV.
 	r.Barrier()
 	r.Barrier()
 	return merged

@@ -219,7 +219,7 @@ func TestZeroCostModel(t *testing.T) {
 // shows up here as an explicit diff — update the constants deliberately.
 //
 // The sequence (per rank): one scalar Gather, one GatherV of (ID+1)*10
-// 100-byte items, one int64 AllReduce, one Broadcast, one AllToAll of 2
+// 100-byte items, one int64 AllReduce, one Broadcast, one AllToAllV of 2
 // 24-byte items per destination.
 func TestCollectivesGolden(t *testing.T) {
 	m := NewMachine(Config{Ranks: 8, RanksPerNode: 4})
@@ -233,7 +233,7 @@ func TestCollectivesGolden(t *testing.T) {
 		for d := range out {
 			out[d] = []int{r.ID(), d}
 		}
-		AllToAll(r, out, 24)
+		AllToAllV(r, out, func(int) int { return 24 })
 	})
 
 	t.Logf("SimSeconds=%.17g Stats=%+v", res.SimSeconds, res.Stats)
@@ -250,8 +250,8 @@ func TestCollectivesGolden(t *testing.T) {
 		BytesSent:         255384, // dominated by the GatherV forwarding of 36000 payload bytes
 		BytesReceived:     255384, // every sent byte is received by its partner
 		OffNodeBytes:      145888,
-		RemotePuts:        56,    // AllToAll charges per-destination batches as puts
-		Barriers:          88,    // 2 per tree collective x 4 + 3 for AllToAll, x 8 ranks
+		RemotePuts:        56,    // AllToAllV charges per-destination batches as puts
+		Barriers:          88,    // 2 per tree collective x 4 + 3 for AllToAllV, x 8 ranks
 		PeakResidentBytes: 36384, // 36000 GatherV payload + 8x48 all-to-all batches materialized
 	}
 	got := res.Stats

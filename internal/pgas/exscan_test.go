@@ -60,7 +60,7 @@ func TestExScanChargedLikeAllReduce(t *testing.T) {
 	}
 }
 
-// TestAllToAllV: variable-size batches are delivered like AllToAll and
+// TestAllToAllV: variable-size batches are delivered per source and
 // charged their actual payload bytes.
 func TestAllToAllV(t *testing.T) {
 	const p = 4
@@ -125,7 +125,7 @@ func TestResidentTracking(t *testing.T) {
 		for d := range out {
 			out[d] = make([]byte, 10)
 		}
-		AllToAll(r, out, 1)
+		AllToAllV(r, out, func(byte) int { return 1 })
 		if got := r.Resident(); got != p*10 {
 			t.Errorf("rank %d: resident after all-to-all = %d, want %d", r.ID(), got, p*10)
 		}

@@ -26,7 +26,7 @@ func BenchmarkCollectivesP256(b *testing.B) {
 			GatherV(r, []int{r.ID(), r.ID() + 1}, 8)
 			out := make([][]int, p)
 			out[(r.ID()+1)%p] = []int{r.ID()}
-			AllToAll(r, out, 8)
+			AllToAllV(r, out, func(int) int { return 8 })
 		})
 	}
 }

@@ -206,7 +206,7 @@ func TestAllToAll(t *testing.T) {
 				out[d] = append(out[d], r.ID()*100+d)
 			}
 		}
-		in := AllToAll(r, out, 8)
+		in := AllToAllV(r, out, func(int) int { return 8 })
 		for s := 0; s < p; s++ {
 			if len(in[s]) != r.ID()+1 {
 				t.Errorf("rank %d: from %d got %d items, want %d", r.ID(), s, len(in[s]), r.ID()+1)
@@ -228,7 +228,7 @@ func TestAllToAllRepeated(t *testing.T) {
 		for round := 0; round < 10; round++ {
 			out := make([][]int, p)
 			out[(r.ID()+1)%p] = []int{round*1000 + r.ID()}
-			in := AllToAll(r, out, 8)
+			in := AllToAllV(r, out, func(int) int { return 8 })
 			src := (r.ID() + p - 1) % p
 			for s := 0; s < p; s++ {
 				if s == src {
